@@ -12,8 +12,8 @@ from .cotree import (Cotree, CotreeNode, build_maximal_cotree, classify_leaves,
 from .engine import (Decision, NodeValues, RisTable, compute_freedom,
                      compute_ris_tables, decide, ris_join, ris_union, tj_decide)
 from .errors import (InputError, InternalError, OracleCapacityError,
-                     ReconError, UnsupportedGraphClassError)
-from .graph import Graph, VertexSet, induced_subgraph, is_independent, is_module
+                     ReconError, UnreachableError, UnsupportedGraphClassError)
+from .graph import Graph, VertexSet, is_independent, is_module
 from .oracle import (gen_chordal, gen_cograph, gen_composed, oracle_accessible,
                      oracle_diameter, oracle_freedom, oracle_reach, oracle_ris)
 from .witness import (SuSequence, TarSequence, accessible_subgraph,
@@ -21,7 +21,7 @@ from .witness import (SuSequence, TarSequence, accessible_subgraph,
                       sequence_to_max, validate_tar_sequence)
 
 __all__ = [
-    "Graph", "VertexSet", "is_independent", "is_module", "induced_subgraph",
+    "Graph", "VertexSet", "is_independent", "is_module",
     "Cotree", "CotreeNode", "build_maximal_cotree", "realize", "is_cograph",
     "classify_leaves",
     "EliminationOrdering", "chordality", "alpha_chordal", "is_dominating",
@@ -33,8 +33,8 @@ __all__ = [
     "validate_tar_sequence",
     "oracle_reach", "oracle_freedom", "oracle_ris", "oracle_accessible",
     "oracle_diameter", "gen_cograph", "gen_chordal", "gen_composed",
-    "ReconError", "InputError", "UnsupportedGraphClassError", "InternalError",
-    "OracleCapacityError",
+    "ReconError", "InputError", "UnreachableError", "UnsupportedGraphClassError",
+    "InternalError", "OracleCapacityError",
 ]
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from . import engine, oracle as oraclemod, witness as witnessmod
 from .cotree import build_maximal_cotree
-from .errors import InputError, InternalError, ReconError, UnsupportedGraphClassError
-from .graph import Graph, VertexSet, is_independent
+from .errors import InputError, UnreachableError, UnsupportedGraphClassError
+from .graph import Graph, VertexSet, is_independent, vertex_set
 
 EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
@@ -37,12 +37,17 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _is_int(token: str) -> bool:
+    # str.isdigit alone also accepts digits such as '²' that int() rejects
+    return token.isascii() and token.removeprefix("-").isdigit()
+
+
 def load_graph(path: str) -> Graph:
     """Read the `n m` + edge-list format, warning on duplicate edges."""
     try:
         with open(path) as fh:
             raw = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read graph file {path}: {e}") from e
     rows = [(no, _strip(line)) for no, line in enumerate(raw, start=1)]
     rows = [(no, line) for no, line in rows if line]
@@ -50,7 +55,7 @@ def load_graph(path: str) -> Graph:
         raise InputError(f"{path}: empty graph file")
     no, header = rows[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != 2 or not all(map(_is_int, parts)):
         raise InputError(f"{path}:{no}: expected header 'n m'")
     n, m = int(parts[0]), int(parts[1])
     if n < 0 or m < 0:
@@ -61,7 +66,7 @@ def load_graph(path: str) -> Graph:
     adj = [0] * n
     for no, line in rows[1:]:
         parts = line.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(_is_int, parts)):
             raise InputError(f"{path}:{no}: expected an edge 'u v'")
         u, v = int(parts[0]), int(parts[1])
         if u == v:
@@ -88,13 +93,13 @@ def parse_set(spec: str, n: int, what: str) -> VertexSet:
                     tok = _strip(line)
                     if tok:
                         tokens.append((f"{path}:{no}", tok))
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read set file {path}: {e}") from e
     elif spec not in ("", "-"):
         tokens = [(what, tok.strip()) for tok in spec.split(",")]
     out = set()
     for loc, tok in tokens:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise InputError(f"{loc}: bad vertex id {tok!r}")
         v = int(tok)
         if v >= n:
@@ -126,13 +131,9 @@ def _setline(s: VertexSet) -> str:
 
 def cmd_decide(args) -> int:
     inst = parse_instance(args.graph, args.a, args.b, args.k, args.model)
-    if inst.model == oraclemod.TJ:
-        ok = engine.tj_decide(inst.graph, inst.set_a, inst.set_b)
-        diag = None
-    else:
-        verdict = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k)
-        ok = verdict.reachable
-        diag = verdict.failure_witness
+    # under TJ, inst.k is |A| - 1, the TAR bound with the same answer
+    verdict = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k)
+    ok, diag = verdict.reachable, verdict.failure_witness
     if args.format == "json":
         print(json.dumps({"reachable": ok, "k": inst.k, "n": inst.graph.n,
                           "model": inst.model}))
@@ -147,30 +148,15 @@ def cmd_decide(args) -> int:
 
 def cmd_witness(args) -> int:
     inst = parse_instance(args.graph, args.a, args.b, args.k, oraclemod.TAR)
-    verdict = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k)
-    if not verdict.reachable:
-        print("UNREACHABLE")
-        return EXIT_UNREACHABLE
     seq = witnessmod.build_witness(inst.graph, inst.set_a, inst.set_b, inst.k)
-    witnessmod.validate_tar_sequence(inst.graph, seq)
     if args.format == "json":
-        t = build_maximal_cotree(inst.graph)
-        ris = engine.compute_ris_tables(t, inst.set_a)
-        vals = engine.compute_freedom(t, inst.set_a, inst.k, ris)
-        access = witnessmod.accessible_subgraph(t, vals, inst.k)
-        sub = inst.graph.induced(sorted(access))
-        if sub.n:
-            t2 = build_maximal_cotree(sub)
-            alpha = engine.compute_ris_tables(t2, [])[t2.root].values[0]
-        else:
-            alpha = 0
         print(json.dumps({
             "reachable": True,
             "length": seq.length,
             "sets": [sorted(s) for s in seq.sets],
             "steps": [{"op": op, "v": v} for op, v in seq.steps()],
             "stats": {"n": inst.graph.n, "k": inst.k,
-                      "alpha_accessible": alpha},
+                      "alpha_accessible": seq.alpha_accessible},
         }))
     elif args.format == "diff":
         print(_setline(seq.sets[0]))
@@ -191,8 +177,7 @@ def cmd_tables(args) -> int:
     for u in t.preorder():
         tab = ris[u]
         line = (f"node {u}: base={tab.base} values={tab.values} "
-                f"freedom={vals.freedom[u]} cap={vals.cap[u]} "
-                f"blocked={vals.blocked[u]}")
+                f"freedom={vals.freedom[u]} blocked={vals.blocked[u]}")
         if tab.tuples is not None:
             line += f" tuples={tab.tuples}"
         print(line)
@@ -201,12 +186,11 @@ def cmd_tables(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = parse_instance(args.graph, args.a, args.b, args.k, args.model)
-    ok, length = oraclemod.oracle_reach(inst.graph, inst.set_a, inst.set_b,
-                                        inst.k, inst.model)
-    if inst.model == oraclemod.TJ:
-        fast = engine.tj_decide(inst.graph, inst.set_a, inst.set_b)
-    else:
-        fast = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k).reachable
+    fast = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k).reachable
+    # the oracle's TJ model counts all |A| tokens, not the TAR bound |A| - 1
+    k = len(inst.set_a) if inst.model == oraclemod.TJ else inst.k
+    ok, length = oraclemod.oracle_reach(inst.graph, inst.set_a, inst.set_b, k,
+                                        inst.model)
     if fast != ok:
         print(f"MISMATCH: engine={fast} oracle={ok}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -217,17 +201,16 @@ def cmd_oracle(args) -> int:
 
 def cmd_fuzz(args) -> int:
     import random
+    if args.size < 1 or args.count < 0:
+        raise InputError("fuzz needs --size at least 1 and --count at least 0")
     rng = random.Random(args.seed)
     total = args.count
     for case in range(total):
         g, _ = oraclemod.gen_cograph(rng.randint(1, args.size),
                                      rng.randrange(1 << 30))
-        o = oraclemod.get_oracle(g)
-        sets = o.sets
-        amask = sets[rng.randrange(len(sets))]
-        bmask = sets[rng.randrange(len(sets))]
-        a = frozenset(v for v in range(g.n) if amask & (1 << v))
-        b = frozenset(v for v in range(g.n) if bmask & (1 << v))
+        sets = oraclemod.get_oracle(g).sets
+        a = vertex_set(sets[rng.randrange(len(sets))])
+        b = vertex_set(sets[rng.randrange(len(sets))])
         k = rng.randint(0, min(len(a), len(b)))
         fast = engine.decide(g, a, b, k).reachable
         slow, _ = oraclemod.oracle_reach(g, a, b, k)
@@ -237,8 +220,7 @@ def cmd_fuzz(args) -> int:
                   f"engine={fast} oracle={slow}", file=sys.stderr)
             return EXIT_INTERNAL
         if fast:
-            seq = witnessmod.build_witness(g, a, b, k)
-            witnessmod.validate_tar_sequence(g, seq)
+            witnessmod.build_witness(g, a, b, k)  # validates its own result
     print(f"{total}/{total} OK")
     return EXIT_REACHABLE
 
@@ -292,14 +274,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UnreachableError:
+        print("UNREACHABLE")
+        return EXIT_UNREACHABLE
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except UnsupportedGraphClassError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (InternalError, ReconError) as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # a bug, which must not exit 1 ("unreachable")
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -25,7 +25,7 @@ class CotreeNode:
     left: int = -1
     right: int = -1
     parent: int = -1
-    leaf_graph: Optional[Graph] = None  # only for leaves, built lazily for trivial ones
+    leaf_graph: Optional[Graph] = None  # only for leaves, built on first access
 
     @property
     def is_leaf(self) -> bool:
@@ -55,9 +55,10 @@ class Cotree:
                 stack.append(node.right)
                 stack.append(node.left)
 
-    def postorder(self) -> Iterator[int]:
+    def postorder(self, start: Optional[int] = None) -> Iterator[int]:
+        """Children before parents, in the subtree of ``start`` (default: root)."""
         out = []
-        stack = [self.root]
+        stack = [self.root if start is None else start]
         while stack:
             u = stack.pop()
             out.append(u)
@@ -76,11 +77,7 @@ class Cotree:
         if not node.is_leaf:
             raise InternalError(f"node {u} is not a leaf")
         if node.leaf_graph is None:
-            if node.vmask.bit_count() == 1:
-                v = node.vmask.bit_length() - 1
-                node.leaf_graph = Graph(1, (0,), origin=(self.graph.origin[v],))
-            else:
-                node.leaf_graph = self.graph.induced(bits(node.vmask))
+            node.leaf_graph = self.graph.induced(bits(node.vmask))
         return node.leaf_graph
 
     def all_leaves_trivial(self) -> bool:
@@ -188,22 +185,50 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     return t
 
 
+def restrict(t: Cotree, keep: int) -> Cotree:
+    """The cotree of the subgraph induced by the vertex mask ``keep``.
+
+    Drops the subtrees outside ``keep`` and contracts each node left with
+    one child (Corneil, Lerchs and Stewart Burlingham 1981); ids stay those
+    of ``t.graph``.  Every leaf must lie wholly inside or outside ``keep``.
+    """
+    r = Cotree(graph=t.graph)
+    copy = [-1] * len(t.nodes)  # node of t -> its node in r, -1 when pruned
+    for u in t.postorder():
+        node = t.nodes[u]
+        vmask = node.vmask & keep
+        if not vmask:
+            continue
+        if node.is_leaf:
+            if vmask != node.vmask:
+                raise InternalError(f"restriction splits leaf {u}")
+            r.nodes.append(CotreeNode(LEAF, vmask, leaf_graph=node.leaf_graph))
+        else:
+            left, right = copy[node.left], copy[node.right]
+            if left < 0 or right < 0:
+                copy[u] = max(left, right)
+                continue
+            r.nodes.append(CotreeNode(node.kind, vmask, left, right))
+            r.nodes[left].parent = r.nodes[right].parent = len(r.nodes) - 1
+        copy[u] = len(r.nodes) - 1
+    if copy[t.root] < 0:
+        raise InputError("cannot restrict a cotree to no vertices")
+    r.root = copy[t.root]
+    return r
+
+
 def realize(t: Cotree) -> Graph:
     """Rebuild the root graph from the tree; used for validation only."""
     n = t.graph.n
     adj = [0] * n
-    global_of = {}  # origin id -> root-graph id, for mapping leaf edges back
-    for i, o in enumerate(t.graph.origin):
-        global_of[o] = i
     for u in t.postorder():
         node = t.nodes[u]
         if node.is_leaf:
             if node.vmask.bit_count() > 1:
-                lg = t.leaf_graph(u)
-                for a, b in lg.edges():
-                    ga, gb = global_of[lg.origin[a]], global_of[lg.origin[b]]
-                    adj[ga] |= 1 << gb
-                    adj[gb] |= 1 << ga
+                ids = list(bits(node.vmask))  # leaf-graph id -> root-graph id
+                for a, b in t.leaf_graph(u).edges():
+                    adj[ids[a]] |= 1 << ids[b]
+                    adj[ids[b]] |= 1 << ids[a]
         elif node.kind == JOIN:
             lm = t.nodes[node.left].vmask
             rm = t.nodes[node.right].vmask

@@ -2,8 +2,8 @@
 
 Bottom-up: per-node tables of the maximum reachable independent-set size for
 every token lower bound, with the maximum stable tuple recorded at union
-nodes.  Top-down: minimum-occupancy (freedom) values, plus the blocked flag
-and occupancy cap consumed by the witness builder.  The decision compares
+nodes.  Top-down: minimum-occupancy (freedom) values, plus the blocked flags
+that mark the vertices a witness may not use.  The decision compares
 the freedom maps of the two input sets and checks leaf-level reachability.
 """
 
@@ -38,10 +38,9 @@ class RisTable:
 
 @dataclass
 class NodeValues:
-    """Top-down results: freedom, occupancy cap, blocked flag per node."""
+    """Top-down results: freedom and blocked flag per node."""
 
     freedom: dict[int, int]
-    cap: dict[int, int]
     blocked: dict[int, bool]
 
 
@@ -94,6 +93,12 @@ def ris_join(ris_v: RisTable, ris_w: RisTable, node: int = -1) -> RisTable:
     return RisTable(node=node, base=occ.base, values=values)
 
 
+def _leaf_local_ids(t: Cotree, u: int, mask: int) -> list[int]:
+    """Leaf-graph ids of ``mask`` in leaf ``u``: ranks within its vertex mask."""
+    vmask = t.nodes[u].vmask
+    return [(vmask & ((1 << v) - 1)).bit_count() for v in bits(mask & vmask)]
+
+
 def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
     """Bottom-up pass: one table per cotree node for start set ``i``."""
     imask = t.graph.check_vertex_set(i)
@@ -105,11 +110,9 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
             if node.is_trivial_leaf:
                 tables[u] = RisTable(node=u, base=base, values=[1] * (base + 1))
             else:
-                lg = t.leaf_graph(u)
-                index = {o: li for li, o in enumerate(lg.origin)}
-                local = [index[t.graph.origin[v]] for v in bits(imask & node.vmask)]
-                tables[u] = RisTable(node=u, base=base,
-                                     values=chordal.leaf_ris_table(lg, local))
+                values = chordal.leaf_ris_table(t.leaf_graph(u),
+                                                _leaf_local_ids(t, u, imask))
+                tables[u] = RisTable(node=u, base=base, values=values)
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right], node=u)
         elif node.kind == JOIN:
@@ -121,18 +124,19 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
 
 def compute_freedom(t: Cotree, i: Iterable[int], k: int,
                     ris: dict[int, RisTable]) -> NodeValues:
-    """Top-down pass: freedom values, blocked flags, and occupancy caps."""
+    """Top-down pass: freedom values and blocked flags, for 0 <= k <= |i|."""
     imask = t.graph.check_vertex_set(i)
+    if not 0 <= k <= ris[t.root].base:
+        raise InputError(f"token bound k={k} is outside 0..{ris[t.root].base}, "
+                         "the size of the set")
     freedom: dict[int, int] = {t.root: k}
     blocked: dict[int, bool] = {t.root: False}
-    cap: dict[int, int] = {}
     for u in t.preorder():
         node = t.nodes[u]
-        f = freedom[u]
-        blk = blocked[u]
-        cap[u] = 0 if blk else ris[u].values[f]
         if node.is_leaf:
             continue
+        f = freedom[u]
+        blk = blocked[u]
         if node.kind == JOIN:
             left_occ = bool(imask & t.nodes[node.left].vmask)
             right_occ = bool(imask & t.nodes[node.right].vmask)
@@ -146,45 +150,47 @@ def compute_freedom(t: Cotree, i: Iterable[int], k: int,
             x, y = ris[u].tuples[f]
             freedom[node.left], freedom[node.right] = x, y
             blocked[node.left] = blocked[node.right] = blk
-    return NodeValues(freedom=freedom, cap=cap, blocked=blocked)
+    return NodeValues(freedom=freedom, blocked=blocked)
 
 
-def _leaf_local_set(t: Cotree, u: int, mask: int) -> list[int]:
-    lg = t.leaf_graph(u)
-    index = {o: li for li, o in enumerate(lg.origin)}
-    return [index[t.graph.origin[v]] for v in bits(mask & t.nodes[u].vmask)]
+def _independent_masks(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[int, int]:
+    masks = g.check_vertex_set(a), g.check_vertex_set(b)
+    for name, m in zip("AB", masks):
+        if not is_independent(g, bits(m)):
+            raise InputError(f"set {name} is not independent")
+    return masks
 
 
-def decide(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> Decision:
-    """Decide whether ``b`` is TAR-reachable from ``a`` at token bound ``k``."""
-    amask = g.check_vertex_set(a)
-    bmask = g.check_vertex_set(b)
-    if not is_independent(g, bits(amask)):
-        raise InputError("set A is not independent")
-    if not is_independent(g, bits(bmask)):
-        raise InputError("set B is not independent")
-    if k <= 0:
-        return Decision(True)
-    if amask.bit_count() < k or bmask.bit_count() < k:
-        return Decision(False, (None, SIZE_BELOW_THRESHOLD))
-    t = build_maximal_cotree(g)
+def _decide_tree(t: Cotree, amask: int, bmask: int,
+                 k: int) -> tuple[Decision, NodeValues]:
+    """The verdict on the graph's cotree ``t``, with A's top-down values.
+
+    Requires independent sets and 0 <= k <= min(|A|, |B|).
+    """
     ris_a = compute_ris_tables(t, bits(amask))
     ris_b = compute_ris_tables(t, bits(bmask))
     vals_a = compute_freedom(t, bits(amask), k, ris_a)
     vals_b = compute_freedom(t, bits(bmask), k, ris_b)
     for u in t.preorder():
         if vals_a.freedom[u] != vals_b.freedom[u]:
-            return Decision(False, (u, FREEDOM_MISMATCH))
-    for u in t.preorder():
-        node = t.nodes[u]
-        if not node.is_leaf or node.is_trivial_leaf:
+            return Decision(False, (u, FREEDOM_MISMATCH)), vals_a
+    for u in t.leaves():
+        if t.nodes[u].is_trivial_leaf:
             continue
-        lg = t.leaf_graph(u)
-        la = _leaf_local_set(t, u, amask)
-        lb = _leaf_local_set(t, u, bmask)
-        if not chordal.leaf_reachable(lg, la, lb, vals_a.freedom[u]):
-            return Decision(False, (u, LEAF_UNREACHABLE))
-    return Decision(True)
+        la, lb = _leaf_local_ids(t, u, amask), _leaf_local_ids(t, u, bmask)
+        if not chordal.leaf_reachable(t.leaf_graph(u), la, lb, vals_a.freedom[u]):
+            return Decision(False, (u, LEAF_UNREACHABLE)), vals_a
+    return Decision(True), vals_a
+
+
+def decide(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> Decision:
+    """Decide whether ``b`` is TAR-reachable from ``a`` at token bound ``k``."""
+    amask, bmask = _independent_masks(g, a, b)
+    if k <= 0:
+        return Decision(True)
+    if amask.bit_count() < k or bmask.bit_count() < k:
+        return Decision(False, (None, SIZE_BELOW_THRESHOLD))
+    return _decide_tree(build_maximal_cotree(g), amask, bmask, k)[0]
 
 
 def tj_decide(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -193,6 +199,4 @@ def tj_decide(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     bmask = g.check_vertex_set(b)
     if amask.bit_count() != bmask.bit_count():
         raise InputError("token jumping requires equal-size sets")
-    if amask == 0:
-        return True
     return decide(g, bits(amask), bits(bmask), amask.bit_count() - 1).reachable

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-CLI exit-code mapping: InputError -> 2, UnsupportedGraphClassError -> 3,
-InternalError -> 4.
+CLI exit-code mapping: UnreachableError -> 1, InputError -> 2,
+UnsupportedGraphClassError -> 3, InternalError -> 4.
 """
 
 
@@ -11,6 +11,10 @@ class ReconError(Exception):
 
 class InputError(ReconError):
     """Invalid user-supplied data (bad vertex ids, non-independent sets, ...)."""
+
+
+class UnreachableError(InputError):
+    """A witness was asked for, but the target set is not reachable."""
 
 
 class UnsupportedGraphClassError(ReconError):

@@ -155,7 +155,3 @@ def is_module(g: Graph, m: Iterable[int]) -> bool:
         if hit != 0 and hit != mmask:
             return False
     return True
-
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    return g.induced(s)

@@ -8,6 +8,7 @@ vertex counts (env var RECON_ORACLE_CAP, default 20).
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from collections import deque
@@ -133,14 +134,14 @@ class SolutionOracle:
         return out
 
 
-_oracles: dict[Graph, SolutionOracle] = {}
+# Holds every distinct graph the test suite visits (about 1300), so none is
+# enumerated twice, while bounding the memory of long fuzzing sessions.
+ORACLE_CACHE_SIZE = 2048
 
 
+@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def get_oracle(g: Graph) -> SolutionOracle:
-    o = _oracles.get(g)
-    if o is None:
-        o = _oracles[g] = SolutionOracle(g)
-    return o
+    return SolutionOracle(g)
 
 
 def _check_model(model: str) -> str:

@@ -9,12 +9,13 @@ sets along join nodes, and descend (the reversed climb) to B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .cotree import Cotree, JOIN, UNION, build_maximal_cotree
-from .engine import (NodeValues, RisTable, compute_freedom, compute_ris_tables,
-                     decide)
-from .errors import InputError, InternalError, UnsupportedGraphClassError
+from .cotree import Cotree, JOIN, UNION, build_maximal_cotree, restrict
+from .engine import (NodeValues, RisTable, _decide_tree, _independent_masks,
+                     compute_ris_tables)
+from .errors import (InputError, InternalError, UnreachableError,
+                     UnsupportedGraphClassError)
 from .graph import Graph, VertexSet, bits, is_independent, mask_of, vertex_set
 
 
@@ -25,6 +26,7 @@ class TarSequence:
     sets: list[VertexSet]
     k: int
     n: int = 0                     # host graph id-space (vertex count)
+    alpha_accessible: int = 0      # set by build_witness: alpha of G[accessible]
 
     @property
     def length(self) -> int:
@@ -72,23 +74,10 @@ class SuSequence:
     steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
 
 
-def _subtree_postorder(t: Cotree, u: int) -> Iterator[int]:
-    out = []
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        out.append(x)
-        node = t.nodes[x]
-        if not node.is_leaf:
-            stack.append(node.left)
-            stack.append(node.right)
-    return iter(reversed(out))
-
-
 def _max_is_masks(t: Cotree, u: int) -> dict[int, int]:
     """A canonical maximum independent set (as a mask) per subtree node."""
     masks: dict[int, int] = {}
-    for x in _subtree_postorder(t, u):
+    for x in t.postorder(u):
         node = t.nodes[x]
         if node.is_leaf:
             if not node.is_trivial_leaf:
@@ -112,10 +101,15 @@ def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
     left child on ties).
     """
     imask = t.graph.check_vertex_set(i)
-    tables = compute_ris_tables(t, bits(imask))
+    return _su_sequence(t, u, imask, compute_ris_tables(t, bits(imask)))
+
+
+def _su_sequence(t: Cotree, u: int, imask: int,
+                 tables: dict[int, RisTable]) -> SuSequence:
+    """``build_su_sequence`` given the tables of ``imask`` on ``t``."""
     maxis = _max_is_masks(t, u)
     results: dict[int, SuSequence] = {}
-    for x in _subtree_postorder(t, u):
+    for x in t.postorder(u):
         node = t.nodes[x]
         if node.is_leaf:
             v = node.vmask.bit_length() - 1
@@ -148,9 +142,6 @@ def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
             alpha_w = maxis[node.right].bit_count()
             base_u = tables[x].base
 
-            def ris(tab: RisTable, j: int) -> int:
-                return tab.values[0 if j < 0 else j]
-
             b = c = 0
             sets = [sv.sets[0] | sw.sets[0]]
             steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -160,10 +151,10 @@ def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
                     break
                 advance_v = None
                 for ell in range(base_u, -1, -1):
-                    if ris(tv, ell - r) > q:
+                    if tv.values[max(ell - r, 0)] > q:
                         advance_v = True
                         break
-                    if ris(tw, ell - q) > r:
+                    if tw.values[max(ell - q, 0)] > r:
                         advance_v = False
                         break
                 if advance_v is None:
@@ -194,7 +185,7 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
         raise InternalError(
             "no maximum independent set is reachable at this threshold; "
             "restrict to the accessible subgraph first")
-    su = build_su_sequence(t, t.root, bits(imask))
+    su = _su_sequence(t, t.root, imask, tables)
     cur = set(su.sets[0])
     out = [frozenset(cur)]
     for removals, additions in su.steps:
@@ -242,18 +233,13 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
     for m in (amask, bmask):
         if m.bit_count() != alpha or not is_independent(t.graph, bits(m)):
             raise InputError("bridging requires maximum independent sets")
-    parent = {t.root: -1}
     order = list(t.preorder())
-    for u in order:
-        node = t.nodes[u]
-        if not node.is_leaf:
-            parent[node.left] = parent[node.right] = u
     cur = amask
     out = [vertex_set(cur)]
     while cur != bmask:
         pick = -1
         for v in order:
-            p = parent[v]
+            p = t.nodes[v].parent
             if p >= 0 and _is_difference(t.nodes[v].vmask, cur, bmask) \
                     and not _is_difference(t.nodes[p].vmask, cur, bmask):
                 pick = p
@@ -271,36 +257,32 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
 
 
 def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSequence:
-    """A full k-TAR-sequence from ``a`` to ``b``, length <= 4n - |a| - |b|."""
-    amask = g.check_vertex_set(a)
-    bmask = g.check_vertex_set(b)
-    verdict = decide(g, bits(amask), bits(bmask), k)
-    if not verdict.reachable:
-        raise InputError("the target set is not reachable at this threshold")
-    if amask == bmask:
-        return TarSequence([vertex_set(amask)], k, g.n)
+    """A full k-TAR-sequence from ``a`` to ``b``, length <= 4n - |a| - |b|.
+
+    Factors ``g`` once; the verdict, the pruning to the accessible vertices,
+    the climbs and the bridge all use that cotree, in the ids of ``g``.
+    Raises UnreachableError when ``b`` is not reachable from ``a``.
+    """
+    amask, bmask = _independent_masks(g, a, b)
+    if amask.bit_count() < k or bmask.bit_count() < k:
+        raise UnreachableError("a set is smaller than the token bound")
+    if g.n == 0:  # no cotree; the empty set is the only independent set
+        return TarSequence([frozenset()], k, 0)
     t = build_maximal_cotree(g)
-    if not t.all_leaves_trivial():
-        raise UnsupportedGraphClassError(
-            "witness construction is only supported for cographs")
-    ris_a = compute_ris_tables(t, bits(amask))
-    vals_a = compute_freedom(t, bits(amask), k, ris_a)
-    access = accessible_subgraph(t, vals_a, k)
-    local_ids = sorted(access)
-    smask = mask_of(local_ids)
-    if (amask | bmask) & ~smask:
+    verdict, vals_a = _decide_tree(t, amask, bmask, max(k, 0))
+    if not verdict.reachable:
+        raise UnreachableError("the target set is not reachable at this threshold")
+    r = restrict(t, mask_of(accessible_subgraph(t, vals_a, k)))
+    if (amask | bmask) & ~r.nodes[r.root].vmask:
         raise InternalError("an endpoint vertex was classified inaccessible")
-    sub = g.induced(local_ids)
-    index = {v: i for i, v in enumerate(local_ids)}
-    a_local = [index[v] for v in bits(amask)]
-    b_local = [index[v] for v in bits(bmask)]
-    t2 = build_maximal_cotree(sub)
-    seq_a = sequence_to_max(t2, a_local, k)
-    seq_b = sequence_to_max(t2, b_local, k)
-    bridge = bridge_max_sets(t2, seq_a.sets[-1], seq_b.sets[-1], k)
-    combined = seq_a.sets + bridge.sets[1:] + list(reversed(seq_b.sets))[1:]
-    lifted = [frozenset(local_ids[v] for v in s) for s in combined]
-    result = TarSequence(lifted, k, g.n)
+    if amask == bmask:
+        alpha = _max_is_masks(r, r.root)[r.root].bit_count()
+        return TarSequence([vertex_set(amask)], k, g.n, alpha)
+    seq_a = sequence_to_max(r, bits(amask), k)
+    seq_b = sequence_to_max(r, bits(bmask), k)
+    bridge = bridge_max_sets(r, seq_a.sets[-1], seq_b.sets[-1], k)
+    result = TarSequence(seq_a.sets + bridge.sets[1:] + seq_b.sets[-2::-1],
+                         k, g.n, len(seq_a.sets[-1]))
     validate_tar_sequence(g, result)
     if result.sets[0] != vertex_set(amask) or result.sets[-1] != vertex_set(bmask):
         raise InternalError("witness endpoints do not match the inputs")

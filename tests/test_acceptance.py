@@ -19,7 +19,7 @@ from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle, oracle_diameter, oracle_reach, oracle_ris_all
 from isrecon.witness import build_su_sequence
 
-from helpers import cograph_corpus, sample_triples
+from helpers import cograph_corpus, greedy_independent_set, sample_triples
 
 CORPUS_SIZE = 500
 CORPUS_MAX_N = 12
@@ -179,25 +179,14 @@ def test_criterion_6_tj_tar_bridge(capsys):
     _report(capsys, "criterion 6: TJ/TAR correspondence", True, f"{cases} cases")
 
 
-def _random_independent_set(g, rng):
-    taken = 0
-    blocked = 0
-    for v in rng.sample(range(g.n), g.n):
-        bit = 1 << v
-        if not (blocked & bit):
-            taken |= bit
-            blocked |= bit | g.adj[v]
-    return frozenset(bits(taken))
-
-
 def test_criterion_7_scaling(capsys):
     sizes = [1000, 2000, 4000, 8000]
     times = []
     rng = random.Random(99)
     for n in sizes:
         g, _ = gen_cograph(n, 1000 + n)
-        a = _random_independent_set(g, rng)
-        b = _random_independent_set(g, rng)
+        a = greedy_independent_set(g, rng)
+        b = greedy_independent_set(g, rng)
         k = min(len(a), len(b)) // 2
         start = time.perf_counter()
         decide(g, a, b, k)

@@ -80,7 +80,6 @@ def test_compute_freedom_blocks_empty_join_side():
     assert vals.freedom[empty] == 0
     assert vals.blocked[empty]
     assert not vals.blocked[occupied]
-    assert vals.cap[empty] == 0
 
 
 def test_compute_freedom_at_zero_blocks_nothing():

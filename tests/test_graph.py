@@ -1,6 +1,6 @@
 import pytest
 
-from isrecon import Graph, InputError, induced_subgraph, is_independent, is_module
+from isrecon import Graph, InputError, is_independent, is_module
 
 from helpers import c4, complete, edgeless, p3
 
@@ -58,7 +58,7 @@ def test_is_module():
 
 def test_induced_subgraph_renumbers_and_tracks_origin():
     g = c4()
-    h = induced_subgraph(g, [1, 2, 3])
+    h = g.induced([1, 2, 3])
     assert h.n == 3
     assert sorted(h.edges()) == [(0, 1), (1, 2)]
     assert h.origin == (1, 2, 3)

@@ -7,7 +7,7 @@ from isrecon import (Graph, InputError, OracleCapacityError, chordality,
                      oracle_accessible, oracle_diameter, oracle_freedom,
                      oracle_reach, oracle_ris)
 from isrecon.cotree import build_maximal_cotree
-from isrecon.oracle import get_oracle, solution_graph
+from isrecon.oracle import ORACLE_CACHE_SIZE, get_oracle, solution_graph
 
 from helpers import c4, complete, edgeless, two_k2
 
@@ -17,6 +17,17 @@ def test_independent_set_enumeration_counts():
     assert len(get_oracle(c4()).sets) == 7
     assert len(get_oracle(complete(3)).sets) == 4
     assert len(get_oracle(edgeless(4)).sets) == 16
+
+
+def test_oracle_cache_is_bounded():
+    # 300 distinct 12-vertex graphs more than the cache holds
+    edges = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    get_oracle.cache_clear()
+    for i in range(ORACLE_CACHE_SIZE + 300):
+        g = Graph.from_edges(12, [e for j, e in enumerate(edges) if not i >> j & 1])
+        get_oracle(g)
+    assert get_oracle.cache_info().currsize == ORACLE_CACHE_SIZE
+    get_oracle.cache_clear()
 
 
 def test_oracle_reach_c4():

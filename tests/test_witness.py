@@ -1,15 +1,23 @@
 """Witness construction: SU climbs, bridging, and the full pipeline."""
 
+import random
+
 import pytest
 
-from isrecon import (InputError, UnsupportedGraphClassError,
+import isrecon.cotree
+import isrecon.engine
+import isrecon.witness
+from isrecon import (Graph, InputError, UnsupportedGraphClassError,
                      accessible_subgraph, bridge_max_sets, build_maximal_cotree,
                      build_su_sequence, build_witness, compute_freedom,
-                     compute_ris_tables, decide, sequence_to_max,
-                     validate_tar_sequence)
+                     compute_ris_tables, decide, gen_cograph, realize,
+                     sequence_to_max, validate_tar_sequence)
+from isrecon.cotree import restrict
+from isrecon.graph import mask_of
 from isrecon.witness import TarSequence
 
-from helpers import c4, complete, edgeless, p3, p4, two_k2
+from helpers import (c4, complete, edgeless, greedy_independent_set, p3, p4,
+                     sample_triples, two_k2)
 
 
 def freedom_values(g, a, k):
@@ -133,6 +141,13 @@ def test_build_witness_same_endpoints():
     assert seq.sets == [frozenset({0, 2})]
 
 
+def test_build_witness_empty_graph():
+    g = Graph(0, [])
+    assert build_witness(g, [], [], 0).sets == [frozenset()]
+    with pytest.raises(InputError):
+        build_witness(g, [], [], 1)
+
+
 def test_build_witness_rejects_unreachable():
     with pytest.raises(InputError):
         build_witness(c4(), [0, 2], [1, 3], 1)
@@ -152,3 +167,72 @@ def test_validate_rejects_bad_sequences():
             g, TarSequence([frozenset({0}), frozenset({1, 3})], 0, 4))
     with pytest.raises(Exception):
         validate_tar_sequence(g, TarSequence([frozenset({0}), frozenset()], 1, 4))
+
+
+def test_restrict_realizes_the_accessible_subgraph():
+    pruned = 0
+    for seed in range(150):
+        g, _ = gen_cograph(1 + seed % 14, seed)
+        for a, _, k in sample_triples(g, 4, seed):
+            if k < 1:
+                continue
+            t, vals = freedom_values(g, a, k)
+            keep = mask_of(accessible_subgraph(t, vals, k))
+            pruned += keep != g.full_mask
+            r = restrict(t, keep)
+            induced = [row & keep if keep >> v & 1 else 0
+                       for v, row in enumerate(g.adj)]
+            assert realize(r) == Graph(g.n, induced)
+            assert r.nodes[r.root].vmask == keep
+            assert len(r.nodes) == 2 * keep.bit_count() - 1
+            for u in r.postorder():
+                node = r.nodes[u]
+                assert node.vmask
+                if not node.is_leaf:
+                    left, right = r.nodes[node.left], r.nodes[node.right]
+                    assert node.vmask == left.vmask | right.vmask
+                    assert left.parent == right.parent == u
+    assert pruned > 50
+
+
+def test_restrict_deep_union_chain():
+    n = 3000
+    t = build_maximal_cotree(edgeless(n))
+    keep = mask_of(range(0, n, 2))
+    r = restrict(t, keep)
+    assert r.nodes[r.root].vmask == keep
+    assert sum(r.nodes[u].is_leaf for u in r.postorder()) == n // 2
+
+
+def _pruned_instance():
+    """A 30-vertex cograph and A != B, reachable at k = 1, with G[S] != G."""
+    rng = random.Random(8)
+    for seed in range(100):
+        g, _ = gen_cograph(30, seed)
+        a = greedy_independent_set(g, rng)
+        t, vals = freedom_values(g, a, 1)
+        access = accessible_subgraph(t, vals, 1)
+        inner = greedy_independent_set(g.induced(sorted(access)), rng)
+        b = frozenset(sorted(access)[v] for v in inner)
+        if access != frozenset(range(g.n)) and a != b and decide(g, a, b, 1).reachable:
+            return g, a, b
+    raise AssertionError("no pruned reachable instance")
+
+
+def test_build_witness_factors_once(monkeypatch):
+    g, a, b = _pruned_instance()
+    calls = {"build_maximal_cotree": 0, "induced": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    build = counted("build_maximal_cotree", build_maximal_cotree)
+    for module in (isrecon.cotree, isrecon.engine, isrecon.witness):
+        monkeypatch.setattr(module, "build_maximal_cotree", build)
+    monkeypatch.setattr(Graph, "induced", counted("induced", Graph.induced))
+    seq = build_witness(g, a, b, 1)
+    assert calls == {"build_maximal_cotree": 1, "induced": 0}
+    assert seq.sets[0] == a and seq.sets[-1] == b and seq.length > 0
