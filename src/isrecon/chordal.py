@@ -1,9 +1,12 @@
 """Base-case solver for nontrivial cotree leaves: chordal graphs.
 
-Chordality is recognized via Lex-BFS plus the standard perfect-elimination
-check; a maximum independent set follows greedily along the elimination
-ordering.  Reachability and maximum-reachable-size inside a chordal leaf
-reduce to a dominating-set test, because chordal graphs are even-hole-free.
+Chordality is recognized by maximum-cardinality search (Tarjan and
+Yannakakis, *SIAM J. Comput.* 13(3), 1984): the reverse of its visit order
+is a perfect elimination ordering exactly when the graph is chordal, and a
+maximum independent set follows greedily along that ordering.  Reachability
+and maximum-reachable-size inside a chordal leaf reduce to a dominating-set
+test, because chordal graphs are even-hole-free.  Each leaf graph is
+analysed once: its independence number is stored on the immutable ``Graph``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, UnsupportedGraphClassError
-from .graph import Graph, bits, is_independent, mask_of
+from .graph import Graph, bits, is_independent
 
 
 @dataclass(frozen=True)
@@ -24,37 +27,41 @@ class EliminationOrdering:
 
 
 def chordality(g: Graph) -> EliminationOrdering:
-    """Lex-BFS ordering with perfect-elimination flag; perfect iff chordal."""
-    n = g.n
-    if n == 0:
-        return EliminationOrdering((), True)
-    labels: list[list[int]] = [[] for _ in range(n)]
-    pos = [-1] * n
+    """Maximum-cardinality search ordering, flagged perfect iff ``g`` is chordal.
+
+    Each step visits the lowest-id unvisited vertex with the most visited
+    neighbours; unvisited vertices sit in one bitmask per weight.  The
+    reverse of the visit order is a perfect elimination ordering iff ``g``
+    is chordal (Tarjan and Yannakakis 1984).  It is checked as the search
+    goes: every earlier-visited neighbour of a vertex must be adjacent to
+    the last one visited.  Both parts cost O(n + m) bitmask operations.
+    """
+    adj = g.adj
+    weight = [0] * g.n
+    last = [-1] * g.n          # the most recently visited neighbour
+    buckets = [g.full_mask] + [0] * g.n   # the unvisited vertices per weight
+    top = 0
+    visited = 0
     sigma = []
-    for step in range(n):
-        best = -1
-        for v in range(n):
-            if pos[v] < 0 and (best < 0 or labels[v] > labels[best]):
-                best = v
-        pos[best] = step
-        sigma.append(best)
-        for w in bits(g.adj[best]):
-            if pos[w] < 0:
-                labels[w].append(n - step)
-    # Reverse of the visit order is a PEO iff the graph is chordal.
     perfect = True
-    for v in range(n):
-        earlier = [w for w in bits(g.adj[v]) if pos[w] < pos[v]]
-        if len(earlier) <= 1:
-            continue
-        p = max(earlier, key=lambda w: pos[w])
-        pmask = g.adj[p]
-        for w in earlier:
-            if w != p and not (pmask & (1 << w)):
-                perfect = False
-                break
-        if not perfect:
-            break
+    for _ in range(g.n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = low.bit_length() - 1
+        p = last[v]
+        if p >= 0 and adj[v] & visited & ~(adj[p] | 1 << p):
+            perfect = False
+        visited |= low
+        sigma.append(v)
+        for w in bits(adj[v] & ~visited):
+            bit = 1 << w
+            buckets[weight[w]] ^= bit
+            weight[w] += 1
+            buckets[weight[w]] |= bit
+            last[w] = v
+        top += 1
     return EliminationOrdering(tuple(reversed(sigma)), perfect)
 
 
@@ -87,9 +94,18 @@ def is_dominating(g: Graph, s: Iterable[int]) -> bool:
     return covered == g.full_mask
 
 
-def _require_chordal(g: Graph) -> None:
-    if not chordality(g).is_perfect:
-        raise UnsupportedGraphClassError("leaf graph is not chordal")
+def _leaf_alpha(g: Graph) -> int:
+    """The independence number of a chordal leaf, from one search per graph.
+
+    Raises UnsupportedGraphClassError on every call for a graph that is not
+    chordal: only a successful analysis is stored.
+    """
+    if g._chordal_alpha is None:
+        peo = chordality(g)
+        if not peo.is_perfect:
+            raise UnsupportedGraphClassError("leaf graph is not chordal")
+        g._chordal_alpha = alpha_chordal(g, peo)[0]
+    return g._chordal_alpha
 
 
 def leaf_reachable(g: Graph, a: Iterable[int], b: Iterable[int], ell: int) -> bool:
@@ -105,7 +121,7 @@ def leaf_reachable(g: Graph, a: Iterable[int], b: Iterable[int], ell: int) -> bo
         raise InputError("leaf_reachable requires independent sets")
     if amask.bit_count() < ell or bmask.bit_count() < ell:
         raise InputError("both sets must have size at least the threshold")
-    _require_chordal(g)
+    _leaf_alpha(g)  # the class check
     if amask == bmask or ell <= 0:
         return True
     for m in (amask, bmask):
@@ -124,10 +140,7 @@ def leaf_ris_table(g: Graph, i: Iterable[int]) -> list[int]:
     imask = g.check_vertex_set(i)
     if not is_independent(g, bits(imask)):
         raise InputError("leaf_ris_table requires an independent set")
-    peo = chordality(g)
-    if not peo.is_perfect:
-        raise UnsupportedGraphClassError("leaf graph is not chordal")
-    alpha, _ = alpha_chordal(g, peo)
+    alpha = _leaf_alpha(g)
     size = imask.bit_count()
     values = [alpha] * (size + 1)
     if size > 0 and is_dominating(g, bits(imask)):

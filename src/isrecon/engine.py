@@ -30,7 +30,6 @@ class RisTable:
     the maximum ell-stable tuple (minimum child occupancies).
     """
 
-    node: int
     base: int                      # |I intersect V_u|
     values: list[int]              # index 0..base, non-increasing
     tuples: Optional[list[tuple[int, int]]] = None
@@ -50,7 +49,7 @@ class Decision:
     failure_witness: Optional[tuple[Optional[int], str]] = None
 
 
-def ris_union(ris_v: RisTable, ris_w: RisTable, node: int = -1) -> RisTable:
+def ris_union(ris_v: RisTable, ris_w: RisTable) -> RisTable:
     """Combine child tables at a union node via the stable-tuple fixpoint.
 
     For each bound ell (descending), iterate a := max(0, ell - W[b]),
@@ -75,10 +74,10 @@ def ris_union(ris_v: RisTable, ris_w: RisTable, node: int = -1) -> RisTable:
             a, b = na, nb
         values[ell] = vv[a] + wv[b]
         tuples[ell] = (a, b)
-    return RisTable(node=node, base=base, values=values, tuples=tuples)
+    return RisTable(base=base, values=values, tuples=tuples)
 
 
-def ris_join(ris_v: RisTable, ris_w: RisTable, node: int = -1) -> RisTable:
+def ris_join(ris_v: RisTable, ris_w: RisTable) -> RisTable:
     """Combine child tables at a join node.
 
     Tokens cannot straddle a join, so the occupied child's table carries
@@ -90,7 +89,7 @@ def ris_join(ris_v: RisTable, ris_w: RisTable, node: int = -1) -> RisTable:
     occ = ris_v if ris_v.base > 0 or ris_w.base == 0 else ris_w
     values = list(occ.values)
     values[0] = max(ris_v.values[0], ris_w.values[0])
-    return RisTable(node=node, base=occ.base, values=values)
+    return RisTable(base=occ.base, values=values)
 
 
 def _leaf_local_ids(t: Cotree, u: int, mask: int) -> list[int]:
@@ -108,15 +107,15 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
         base = (imask & node.vmask).bit_count()
         if node.kind == LEAF:
             if node.is_trivial_leaf:
-                tables[u] = RisTable(node=u, base=base, values=[1] * (base + 1))
+                tables[u] = RisTable(base=base, values=[1] * (base + 1))
             else:
                 values = chordal.leaf_ris_table(t.leaf_graph(u),
                                                 _leaf_local_ids(t, u, imask))
-                tables[u] = RisTable(node=u, base=base, values=values)
+                tables[u] = RisTable(base=base, values=values)
         elif node.kind == UNION:
-            tables[u] = ris_union(tables[node.left], tables[node.right], node=u)
+            tables[u] = ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:
-            tables[u] = ris_join(tables[node.left], tables[node.right], node=u)
+            tables[u] = ris_join(tables[node.left], tables[node.right])
         else:
             raise InternalError(f"unknown node kind {node.kind!r}")
     return tables

@@ -36,9 +36,14 @@ def vertex_set(mask: int) -> VertexSet:
 
 
 class Graph:
-    """A simple undirected graph; immutable after construction."""
+    """A simple undirected graph; immutable after construction.
 
-    __slots__ = ("n", "adj", "origin", "full_mask")
+    ``_chordal_alpha`` is the independence number of a chordal graph, which
+    ``chordal`` fills on its first analysis; the graph cannot change, so the
+    value cannot go stale.
+    """
+
+    __slots__ = ("n", "adj", "origin", "full_mask", "_chordal_alpha")
 
     def __init__(self, n: int, adj, origin=None):
         if n < 0:
@@ -56,6 +61,7 @@ class Graph:
         self.adj = adj
         self.origin = tuple(origin) if origin is not None else tuple(range(n))
         self.full_mask = full
+        self._chordal_alpha = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -25,7 +25,6 @@ class TarSequence:
 
     sets: list[VertexSet]
     k: int
-    n: int = 0                     # host graph id-space (vertex count)
     alpha_accessible: int = 0      # set by build_witness: alpha of G[accessible]
 
     @property
@@ -69,7 +68,6 @@ class SuSequence:
     ordered additions; every vertex is added at most once over the climb.
     """
 
-    node: int
     sets: list[VertexSet]
     steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
 
@@ -114,16 +112,14 @@ def _su_sequence(t: Cotree, u: int, imask: int,
         if node.is_leaf:
             v = node.vmask.bit_length() - 1
             if imask & node.vmask:
-                results[x] = SuSequence(x, [frozenset((v,))])
+                results[x] = SuSequence([frozenset((v,))])
             else:
-                results[x] = SuSequence(x, [frozenset(), frozenset((v,))],
-                                        [((), (v,))])
+                results[x] = SuSequence([frozenset(), frozenset((v,))], [((), (v,))])
         elif node.kind == JOIN:
             alpha_u = maxis[x].bit_count()
             if tables[x].base == 0:
                 top = vertex_set(maxis[x])
-                results[x] = SuSequence(x, [frozenset(), top],
-                                        [((), tuple(sorted(top)))])
+                results[x] = SuSequence([frozenset(), top], [((), tuple(sorted(top)))])
                 continue
             occ, emp = node.left, node.right
             if tables[occ].base == 0:
@@ -134,7 +130,7 @@ def _su_sequence(t: Cotree, u: int, imask: int,
                 top = vertex_set(maxis[emp])
                 steps.append((tuple(sorted(sets[-1])), tuple(sorted(top))))
                 sets.append(top)
-            results[x] = SuSequence(x, sets, steps)
+            results[x] = SuSequence(sets, steps)
         else:  # union: interleave the children's climbs
             tv, tw = tables[node.left], tables[node.right]
             sv, sw = results[node.left], results[node.right]
@@ -166,7 +162,7 @@ def _su_sequence(t: Cotree, u: int, imask: int,
                     steps.append(sw.steps[c])
                     c += 1
                 sets.append(sv.sets[b] | sw.sets[c])
-            results[x] = SuSequence(x, sets, steps)
+            results[x] = SuSequence(sets, steps)
     return results[u]
 
 
@@ -195,7 +191,7 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
         for v in additions:
             cur.add(v)
             out.append(frozenset(cur))
-    return TarSequence(out, k, t.graph.n)
+    return TarSequence(out, k)
 
 
 def accessible_subgraph(t: Cotree, values_a: NodeValues, k: int) -> VertexSet:
@@ -253,7 +249,7 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
         for v in bits(bmask & um):
             cur |= 1 << v
             out.append(vertex_set(cur))
-    return TarSequence(out, k, t.graph.n)
+    return TarSequence(out, k)
 
 
 def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSequence:
@@ -267,7 +263,7 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise UnreachableError("a set is smaller than the token bound")
     if g.n == 0:  # no cotree; the empty set is the only independent set
-        return TarSequence([frozenset()], k, 0)
+        return TarSequence([frozenset()], k)
     t = build_maximal_cotree(g)
     verdict, vals_a = _decide_tree(t, amask, bmask, max(k, 0))
     if not verdict.reachable:
@@ -277,12 +273,12 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
         raise InternalError("an endpoint vertex was classified inaccessible")
     if amask == bmask:
         alpha = _max_is_masks(r, r.root)[r.root].bit_count()
-        return TarSequence([vertex_set(amask)], k, g.n, alpha)
+        return TarSequence([vertex_set(amask)], k, alpha)
     seq_a = sequence_to_max(r, bits(amask), k)
     seq_b = sequence_to_max(r, bits(bmask), k)
     bridge = bridge_max_sets(r, seq_a.sets[-1], seq_b.sets[-1], k)
     result = TarSequence(seq_a.sets + bridge.sets[1:] + seq_b.sets[-2::-1],
-                         k, g.n, len(seq_a.sets[-1]))
+                         k, len(seq_a.sets[-1]))
     validate_tar_sequence(g, result)
     if result.sets[0] != vertex_set(amask) or result.sets[-1] != vertex_set(bmask):
         raise InternalError("witness endpoints do not match the inputs")

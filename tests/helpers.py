@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from isrecon import Graph, gen_cograph
+from isrecon.graph import bits
 from isrecon.oracle import get_oracle
 
 
@@ -58,6 +59,30 @@ def greedy_independent_set(g: Graph, rng: random.Random) -> frozenset:
             taken |= bit
             blocked |= bit | g.adj[v]
     return frozenset(v for v in range(g.n) if taken & (1 << v))
+
+
+def connected_chordal(n: int, density: float, seed: int) -> Graph:
+    """A random connected chordal graph, grown one simplicial vertex at a time.
+
+    Each new vertex attaches to a random earlier parent and to each member
+    of the parent's clique with probability ``density``; the attachment is
+    the new vertex's clique.  Unlike sparse ``gen_chordal`` graphs, the
+    result is connected, so for n > 3 it is nearly always one prime leaf.
+    """
+    rng = random.Random(seed)
+    adj = [0] * n
+    clique_of = [0] * n
+    for v in range(1, n):
+        p = rng.randrange(v)
+        chosen = 1 << p
+        for w in bits(clique_of[p]):
+            if rng.random() < density:
+                chosen |= 1 << w
+        clique_of[v] = chosen
+        adj[v] = chosen
+        for w in bits(chosen):
+            adj[w] |= 1 << v
+    return Graph(n, adj)
 
 
 def cograph_corpus(count: int, max_n: int, seed_base: int = 0):

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria, one printed verdict each.
+"""Acceptance gate: ten end-to-end criteria, one printed verdict each.
 
 Run with plain pytest; every test prints a single `[PASS]`/`[FAIL]` line
 (through the capture plugin) summarizing its criterion.
@@ -19,7 +19,8 @@ from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle, oracle_diameter, oracle_reach, oracle_ris_all
 from isrecon.witness import build_su_sequence
 
-from helpers import cograph_corpus, greedy_independent_set, sample_triples
+from helpers import (cograph_corpus, connected_chordal, greedy_independent_set,
+                     sample_triples)
 
 CORPUS_SIZE = 500
 CORPUS_MAX_N = 12
@@ -39,8 +40,8 @@ def _corpus():
 
 def test_criterion_1_union_table_regression(capsys):
     """Exact per-threshold maxima and stable tuples for a known input."""
-    v = RisTable(node=0, base=3, values=[6, 5, 5, 4])
-    w = RisTable(node=1, base=3, values=[4, 3, 3, 3])
+    v = RisTable(base=3, values=[6, 5, 5, 4])
+    w = RisTable(base=3, values=[4, 3, 3, 3])
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
@@ -232,3 +233,49 @@ def test_criterion_8_su_sequence_structure(capsys):
                 checked += 1
     _report(capsys, "criterion 8: SU-sequence structure", True,
             f"{checked} sequences")
+
+
+def test_criterion_9_oracle_equivalence_prime_leaves(capsys):
+    """Compositions of two chordal parts of 5-8 vertices, so that prime
+    leaves larger than P4 occur, which criterion 3's parts cannot give."""
+    rng = random.Random(4321)
+    cases = big_leaves = 0
+    for seed in range(208):
+        first = rng.randint(5, 8)
+        g = gen_composed([first, rng.randint(5, 14 - first)],
+                         rng.choice([0.2, 0.5, 0.8]), seed)
+        assert g.n <= 14
+        t = build_maximal_cotree(g)
+        big_leaves += sum(t.nodes[u].vmask.bit_count() >= 5 for u in t.leaves())
+        for a, b, k in sample_triples(g, 10, seed + 11000):
+            cases += 1
+            assert decide(g, a, b, k).reachable == oracle_reach(g, a, b, k)[0], \
+                (seed, sorted(a), sorted(b), k)
+    ok = cases >= 1000 and big_leaves >= 100
+    _report(capsys, "criterion 9: composed oracle equivalence, prime leaves", ok,
+            f"{cases} cases, {big_leaves} prime leaves of 5+ vertices")
+
+
+def test_criterion_10_prime_leaf_scaling(capsys):
+    """decide on one connected chordal graph, which is a single prime leaf."""
+    sizes = [500, 1000, 2000, 4000]
+    times = []
+    rng = random.Random(77)
+    for n in sizes:
+        g = connected_chordal(n, 0.5, 2000 + n)
+        t = build_maximal_cotree(g)
+        assert t.nodes[t.root].is_leaf, n
+        a = greedy_independent_set(g, rng)
+        b = greedy_independent_set(g, rng)
+        k = min(len(a), len(b)) // 2
+        start = time.perf_counter()
+        decide(g, a, b, k)
+        times.append(time.perf_counter() - start)
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(max(dt, 1e-9)) for dt in times]
+    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) \
+        / sum((x - xbar) ** 2 for x in xs)
+    ok = times[-1] <= 1.0
+    _report(capsys, "criterion 10: prime-leaf scaling", ok,
+            f"exponent {slope:.2f}, t(4000)={times[-1]:.2f}s")

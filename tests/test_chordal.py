@@ -1,7 +1,8 @@
 import pytest
 
 from isrecon import (Graph, InputError, UnsupportedGraphClassError,
-                     alpha_chordal, chordality, is_dominating, leaf_reachable,
+                     alpha_chordal, build_maximal_cotree, chordal, chordality,
+                     decide, gen_composed, is_dominating, leaf_reachable,
                      leaf_ris_table)
 
 from helpers import c4, complete, edgeless, p4
@@ -19,6 +20,11 @@ def test_chordality_accepts_known_chordal_graphs():
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_chordless_cycles_rejected(n):
     assert not chordality(chordless_cycle(n)).is_perfect
+
+
+def test_long_chordless_cycles_rejected():
+    for n in range(4, 61):
+        assert not chordality(chordless_cycle(n)).is_perfect, n
 
 
 def test_chordality_order_is_a_permutation():
@@ -93,3 +99,46 @@ def test_leaf_ris_table():
 def test_leaf_ris_table_rejects_non_chordal():
     with pytest.raises(UnsupportedGraphClassError):
         leaf_ris_table(c4(), [0])
+
+
+def test_decide_analyses_each_prime_leaf_once(monkeypatch):
+    calls = []
+    real = chordal.chordality
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(chordal, "chordality", counting)
+    g = gen_composed([6, 7, 6], 0.5, 5)
+    t = build_maximal_cotree(g)
+    prime = [u for u in t.leaves() if not t.nodes[u].is_trivial_leaf]
+    assert len(prime) == 3
+    decide(g, [0], [6], 1)
+    assert len(calls) == len(prime)
+
+
+def c5_join_k1():
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    return Graph.from_edges(6, c5 + [(i, 5) for i in range(5)])
+
+
+def c6_beside_k2():
+    return Graph.from_edges(8, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7)])
+
+
+@pytest.mark.parametrize("g, a, b", [(c5_join_k1(), [0, 2], [1, 3]),
+                                     (c6_beside_k2(), [0, 2, 6], [1, 3, 7])])
+def test_non_chordal_prime_leaf_raises_on_every_call(g, a, b):
+    for _ in range(2):
+        with pytest.raises(UnsupportedGraphClassError):
+            decide(g, a, b, 1)
+
+
+def test_leaf_analysis_failure_is_not_stored():
+    g = c4()
+    for _ in range(2):
+        with pytest.raises(UnsupportedGraphClassError):
+            leaf_ris_table(g, [0])
+        with pytest.raises(UnsupportedGraphClassError):
+            leaf_reachable(g, [0, 2], [1, 3], 1)

@@ -222,6 +222,16 @@ def test_fuzz_bad_size_or_count_exits_2():
         assert "Traceback" not in proc.stderr and flag in proc.stderr
 
 
+def test_non_chordal_prime_leaf_exits_3(tmp_path):
+    # C5 joined with K1: the C5 leaf is prime and not chordal
+    f = tmp_path / "c5k1.g"
+    f.write_text("10 10\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+                 "0 5\n1 5\n2 5\n3 5\n4 5\n")
+    proc = run_cli("decide", str(f), "0,2", "1,3", "-k", "1")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "not chordal" in proc.stderr
+
+
 def test_unexpected_exception_exits_4(c4_file, capsys, monkeypatch):
     def broken(*args):
         raise ZeroDivisionError("boom")

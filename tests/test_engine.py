@@ -13,7 +13,7 @@ from helpers import c4, complete, edgeless, p3, p4, two_k2
 
 
 def table(base, values):
-    return RisTable(node=-1, base=base, values=values)
+    return RisTable(base=base, values=values)
 
 
 def test_ris_union_regression_table():

@@ -6,9 +6,10 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isrecon import (Graph, build_maximal_cotree, build_witness, chordality,
-                     compute_freedom, compute_ris_tables, decide, gen_cograph,
-                     is_cograph, is_module, realize, validate_tar_sequence)
+from isrecon import (Graph, alpha_chordal, build_maximal_cotree, build_witness,
+                     chordality, compute_freedom, compute_ris_tables, decide,
+                     gen_chordal, gen_cograph, is_cograph, is_independent,
+                     is_module, realize, validate_tar_sequence)
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph
 
@@ -66,6 +67,32 @@ def test_realize_round_trips_every_graph(g):
 @given(small_graphs())
 def test_chordality_matches_networkx(g):
     assert chordality(g).is_perfect == nx.is_chordal(to_nx(g))
+
+
+@SETTINGS
+@given(small_graphs(max_n=10))
+def test_perfect_ordering_meets_the_definition(g):
+    peo = chordality(g)
+    assert sorted(peo.order) == list(range(g.n))
+    if not peo.is_perfect:
+        return
+    pos = {v: i for i, v in enumerate(peo.order)}
+    for v in range(g.n):
+        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
+        for i, x in enumerate(later):
+            for y in later[i + 1:]:
+                assert g.has_edge(x, y), (v, x, y)
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=10),
+       st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_alpha_chordal_matches_the_oracle(n, density, seed):
+    g = gen_chordal(n, density, seed)
+    alpha, witness = alpha_chordal(g, chordality(g))
+    assert alpha == max(s.bit_count() for s in get_oracle(g).sets)
+    assert len(witness) == alpha and is_independent(g, witness)
 
 
 @SETTINGS

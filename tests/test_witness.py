@@ -161,12 +161,12 @@ def test_build_witness_rejects_non_cograph():
 def test_validate_rejects_bad_sequences():
     g = c4()
     with pytest.raises(Exception):
-        validate_tar_sequence(g, TarSequence([frozenset({0, 1})], 0, 4))
+        validate_tar_sequence(g, TarSequence([frozenset({0, 1})], 0))
     with pytest.raises(Exception):
         validate_tar_sequence(
-            g, TarSequence([frozenset({0}), frozenset({1, 3})], 0, 4))
+            g, TarSequence([frozenset({0}), frozenset({1, 3})], 0))
     with pytest.raises(Exception):
-        validate_tar_sequence(g, TarSequence([frozenset({0}), frozenset()], 1, 4))
+        validate_tar_sequence(g, TarSequence([frozenset({0}), frozenset()], 1))
 
 
 def test_restrict_realizes_the_accessible_subgraph():
