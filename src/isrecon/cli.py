@@ -154,13 +154,13 @@ def cmd_witness(args) -> int:
             "reachable": True,
             "length": seq.length,
             "sets": [sorted(s) for s in seq.sets],
-            "steps": [{"op": op, "v": v} for op, v in seq.steps()],
+            "steps": [{"op": op, "v": v} for op, v in seq.steps],
             "stats": {"n": inst.graph.n, "k": inst.k,
                       "alpha_accessible": seq.alpha_accessible},
         }))
     elif args.format == "diff":
-        print(_setline(seq.sets[0]))
-        for op, v in seq.steps():
+        print(_setline(seq.start))
+        for op, v in seq.steps:
             print(f"+{v}" if op == "add" else f"-{v}")
     else:
         for s in seq.sets:

@@ -8,7 +8,7 @@ maximal decomposition has only single-vertex leaves is a cograph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import InputError, InternalError
 from .graph import Graph, bits, vertex_set
@@ -247,10 +247,3 @@ def is_cograph(g: Graph) -> bool:
         return True
     return build_maximal_cotree(g).all_leaves_trivial()
 
-
-def classify_leaves(t: Cotree, class_test: Callable[[Graph], bool]) -> bool:
-    """True iff every nontrivial leaf graph satisfies ``class_test``."""
-    for u in t.leaves():
-        if not t.nodes[u].is_trivial_leaf and not class_test(t.leaf_graph(u)):
-            return False
-    return True

@@ -147,17 +147,3 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
             return False
     return True
 
-
-def is_module(g: Graph, m: Iterable[int]) -> bool:
-    """True iff every vertex outside ``m`` sees all of ``m`` or none of it.
-
-    The full vertex set counts as a (trivial) module.
-    """
-    mmask = g.check_vertex_set(m)
-    if mmask == 0:
-        raise InputError("a module must be nonempty")
-    for v in bits(g.full_mask & ~mmask):
-        hit = g.adj[v] & mmask
-        if hit != 0 and hit != mmask:
-            return False
-    return True

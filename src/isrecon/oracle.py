@@ -2,14 +2,13 @@
 
 Everything here is brute force on purpose: enumerate all independent sets,
 walk the solution graph explicitly, and answer reachability / freedom /
-maximum-reachable-size / diameter queries by inspection.  Capped at small
-vertex counts (env var RECON_ORACLE_CAP, default 20).
+maximum-reachable-size / diameter queries by inspection.  Refuses graphs
+with more than ``ORACLE_CAP`` (20) vertices.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -21,16 +20,14 @@ from .graph import Graph, VertexSet, bits, is_independent, mask_of, vertex_set
 
 TAR = "tar"
 TJ = "tj"
-
-
-def _cap() -> int:
-    return int(os.environ.get("RECON_ORACLE_CAP", "20"))
+ORACLE_CAP = 20     # the largest vertex count the oracle enumerates
 
 
 def _check_cap(g: Graph) -> None:
-    if g.n > _cap():
+    if g.n > ORACLE_CAP:
         raise OracleCapacityError(
-            f"oracle refuses n={g.n} > cap {_cap()} (set RECON_ORACLE_CAP)")
+            f"oracle refuses n={g.n}: it enumerates every independent set, "
+            f"so it is capped at {ORACLE_CAP} vertices")
 
 
 class SolutionOracle:

@@ -1,14 +1,17 @@
 """Explicit reconfiguration sequences for cograph instances.
 
-When the decision procedure answers yes, an actual token add/remove sequence
-of length at most 4n - |A| - |B| is assembled in three legs: climb from A to
-a maximum independent set of the accessible subgraph, swap between maximum
-sets along join nodes, and descend (the reversed climb) to B.
+A witness is a start set plus single-token moves ('add'|'remove', v), so no
+other jump can be written down.  When the decision procedure answers yes,
+the at most 4n - |A| - |B| moves are assembled in three legs: climb from A
+to a maximum independent set of the accessible subgraph, swap join sides
+between two maximum sets, and descend (B's climb, reversed) to B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 from typing import Iterable
 
 from .cotree import Cotree, JOIN, UNION, build_maximal_cotree, restrict
@@ -21,43 +24,61 @@ from .graph import Graph, VertexSet, bits, is_independent, mask_of, vertex_set
 
 @dataclass
 class TarSequence:
-    """A list of independent sets, each one token add/remove apart."""
+    """A start set and the single-token moves ('add'|'remove', v) that follow."""
 
-    sets: list[VertexSet]
+    start: VertexSet
+    steps: list[tuple[str, int]]
     k: int
     alpha_accessible: int = 0      # set by build_witness: alpha of G[accessible]
 
     @property
     def length(self) -> int:
-        return len(self.sets) - 1
+        return len(self.steps)
 
-    def steps(self) -> list[tuple[str, int]]:
-        """The per-move view: ('add'|'remove', vertex) for each transition."""
-        out = []
-        for cur, nxt in zip(self.sets, self.sets[1:]):
-            added = nxt - cur
-            removed = cur - nxt
-            if len(added) + len(removed) != 1:
-                raise InternalError("sequence step is not a single token move")
-            out.append(("add", next(iter(added))) if added
-                       else ("remove", next(iter(removed))))
+    @property
+    def sets(self) -> list[VertexSet]:
+        """Every set along the sequence, replayed from the moves."""
+        cur = set(self.start)
+        out = [frozenset(cur)]
+        for _, v in self.steps:
+            cur ^= {v}
+            out.append(frozenset(cur))
         return out
 
 
-def validate_tar_sequence(g: Graph, seq: TarSequence) -> None:
-    """Raise InternalError unless ``seq`` is a valid k-TAR-sequence in ``g``."""
-    if not seq.sets:
-        raise InternalError("a TAR-sequence must contain at least one set")
-    prev = None
-    for s in seq.sets:
-        m = g.check_vertex_set(s)
-        if not is_independent(g, bits(m)):
-            raise InternalError("sequence contains a non-independent set")
-        if m.bit_count() < seq.k:
-            raise InternalError("sequence drops below the token threshold")
-        if prev is not None and (m ^ prev).bit_count() != 1:
-            raise InternalError("consecutive sets differ by more than one token")
-        prev = m
+def _end_mask(seq: TarSequence) -> int:
+    """The last set of a sequence of valid moves, as a bitmask."""
+    return reduce(xor, (1 << v for _, v in seq.steps), mask_of(seq.start))
+
+
+def validate_tar_sequence(g: Graph, seq: TarSequence) -> int:
+    """Raise InternalError unless ``seq`` is a valid k-TAR-sequence in ``g``.
+
+    The start set is checked once; each move then costs one bit test, as
+    adding v keeps a set independent iff no neighbour of v is in it.
+    Returns the last set as a bitmask.
+    """
+    def bit(v: int) -> int:
+        if not 0 <= v < g.n:
+            raise InternalError(f"vertex {v} is outside the graph")
+        return 1 << v
+
+    cur = 0
+    for v in seq.start:
+        cur |= bit(v)
+    size = cur.bit_count()
+    if size < seq.k or not is_independent(g, bits(cur)):
+        raise InternalError("the start set is not independent with k tokens")
+    for op, v in seq.steps:
+        b = bit(v)
+        if op == "add" and not (cur & b or g.adj[v] & cur):
+            size += 1
+        elif op == "remove" and cur & b and size > seq.k:
+            size -= 1
+        else:
+            raise InternalError(f"invalid move {op!r} of vertex {v}")
+        cur ^= b
+    return cur
 
 
 @dataclass
@@ -182,16 +203,11 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
             "no maximum independent set is reachable at this threshold; "
             "restrict to the accessible subgraph first")
     su = _su_sequence(t, t.root, imask, tables)
-    cur = set(su.sets[0])
-    out = [frozenset(cur)]
+    steps = []
     for removals, additions in su.steps:
-        for v in removals:
-            cur.remove(v)
-            out.append(frozenset(cur))
-        for v in additions:
-            cur.add(v)
-            out.append(frozenset(cur))
-    return TarSequence(out, k)
+        steps += [("remove", v) for v in removals]
+        steps += [("add", v) for v in additions]
+    return TarSequence(su.sets[0], steps, k)
 
 
 def accessible_subgraph(t: Cotree, values_a: NodeValues, k: int) -> VertexSet:
@@ -211,17 +227,14 @@ def accessible_subgraph(t: Cotree, values_a: NodeValues, k: int) -> VertexSet:
     return vertex_set(acc)
 
 
-def _is_difference(vmask: int, amask: int, bmask: int) -> bool:
-    return bool(vmask & amask) != bool(vmask & bmask)
-
-
 def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
                     k: int) -> TarSequence:
     """A k-TAR-sequence between two mutually reachable maximum sets.
 
-    Repeatedly locates a join node whose children disagree on which side
-    holds the tokens and swaps the occupied side; total length is exactly
-    the symmetric difference of the two sets.
+    One preorder walk skips every subtree where the two sets agree; at a
+    join whose sides the two sets occupy differently, it removes the first
+    set's side and adds the second's.  The length is exactly the symmetric
+    difference of the two sets.
     """
     amask = t.graph.check_vertex_set(a_max)
     bmask = t.graph.check_vertex_set(b_max)
@@ -229,27 +242,21 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
     for m in (amask, bmask):
         if m.bit_count() != alpha or not is_independent(t.graph, bits(m)):
             raise InputError("bridging requires maximum independent sets")
-    order = list(t.preorder())
-    cur = amask
-    out = [vertex_set(cur)]
-    while cur != bmask:
-        pick = -1
-        for v in order:
-            p = t.nodes[v].parent
-            if p >= 0 and _is_difference(t.nodes[v].vmask, cur, bmask) \
-                    and not _is_difference(t.nodes[p].vmask, cur, bmask):
-                pick = p
-                break
-        if pick < 0 or t.nodes[pick].kind != JOIN:
+    steps: list[tuple[str, int]] = []
+    stack = [t.root]
+    while stack:
+        node = t.nodes[stack.pop()]
+        if not (amask ^ bmask) & node.vmask:
+            continue
+        if node.is_leaf:
             raise InternalError("maximum-set bridge found no join swap point")
-        um = t.nodes[pick].vmask
-        for v in bits(cur & um):
-            cur ^= 1 << v
-            out.append(vertex_set(cur))
-        for v in bits(bmask & um):
-            cur |= 1 << v
-            out.append(vertex_set(cur))
-    return TarSequence(out, k)
+        lm = t.nodes[node.left].vmask
+        if node.kind == JOIN and bool(amask & lm) != bool(bmask & lm):
+            steps += [("remove", v) for v in bits(amask & node.vmask)]
+            steps += [("add", v) for v in bits(bmask & node.vmask)]
+        else:
+            stack += (node.right, node.left)
+    return TarSequence(vertex_set(amask), steps, k)
 
 
 def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSequence:
@@ -263,7 +270,7 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise UnreachableError("a set is smaller than the token bound")
     if g.n == 0:  # no cotree; the empty set is the only independent set
-        return TarSequence([frozenset()], k)
+        return TarSequence(frozenset(), [], k)
     t = build_maximal_cotree(g)
     verdict, vals_a = _decide_tree(t, amask, bmask, max(k, 0))
     if not verdict.reachable:
@@ -273,15 +280,17 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
         raise InternalError("an endpoint vertex was classified inaccessible")
     if amask == bmask:
         alpha = _max_is_masks(r, r.root)[r.root].bit_count()
-        return TarSequence([vertex_set(amask)], k, alpha)
+        return TarSequence(vertex_set(amask), [], k, alpha)
     seq_a = sequence_to_max(r, bits(amask), k)
     seq_b = sequence_to_max(r, bits(bmask), k)
-    bridge = bridge_max_sets(r, seq_a.sets[-1], seq_b.sets[-1], k)
-    result = TarSequence(seq_a.sets + bridge.sets[1:] + seq_b.sets[-2::-1],
-                         k, len(seq_a.sets[-1]))
-    validate_tar_sequence(g, result)
-    if result.sets[0] != vertex_set(amask) or result.sets[-1] != vertex_set(bmask):
-        raise InternalError("witness endpoints do not match the inputs")
+    top_a, top_b = _end_mask(seq_a), _end_mask(seq_b)
+    bridge = bridge_max_sets(r, bits(top_a), bits(top_b), k)
+    descent = [("add" if op == "remove" else "remove", v)
+               for op, v in reversed(seq_b.steps)]
+    result = TarSequence(vertex_set(amask), seq_a.steps + bridge.steps + descent,
+                         k, top_a.bit_count())
+    if validate_tar_sequence(g, result) != bmask:
+        raise InternalError("witness does not end at the target set")
     if result.length > 4 * g.n - amask.bit_count() - bmask.bit_count():
         raise InternalError("witness exceeds the guaranteed length bound")
     return result

@@ -1,7 +1,6 @@
 import pytest
 
-from isrecon import (Graph, InputError, build_maximal_cotree, chordality,
-                     classify_leaves, is_cograph, realize)
+from isrecon import Graph, InputError, build_maximal_cotree, is_cograph, realize
 from isrecon.cotree import JOIN, UNION
 
 from helpers import c4, complete, edgeless, p3, p4, two_k2
@@ -59,16 +58,6 @@ def test_is_cograph_known_cases():
     assert is_cograph(p3())
     assert not is_cograph(p4())
     assert not is_cograph(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
-
-
-def test_classify_leaves_with_chordality_test():
-    # C5 is not a cograph, and its single leaf (itself) is not chordal
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    t = build_maximal_cotree(c5)
-    assert not classify_leaves(t, lambda h: chordality(h).is_perfect)
-    # P4 is not a cograph but is chordal
-    t2 = build_maximal_cotree(p4())
-    assert classify_leaves(t2, lambda h: chordality(h).is_perfect)
 
 
 def test_cotree_rejects_empty_graph():

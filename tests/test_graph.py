@@ -1,6 +1,6 @@
 import pytest
 
-from isrecon import Graph, InputError, is_independent, is_module
+from isrecon import Graph, InputError, is_independent
 
 from helpers import c4, complete, edgeless, p3
 
@@ -43,17 +43,6 @@ def test_is_independent():
     assert is_independent(g, [1, 3])
     assert is_independent(g, [])
     assert not is_independent(g, [0, 1])
-
-
-def test_is_module():
-    g = c4()
-    # opposite corners of a 4-cycle form a module
-    assert is_module(g, [0, 2])
-    assert is_module(g, [1, 3])
-    assert not is_module(g, [0, 1])
-    assert is_module(g, [0, 1, 2, 3])  # trivial module
-    with pytest.raises(InputError):
-        is_module(g, [])
 
 
 def test_induced_subgraph_renumbers_and_tracks_origin():

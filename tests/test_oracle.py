@@ -55,8 +55,9 @@ def test_oracle_reach_validates():
 
 
 def test_capacity_cap(monkeypatch):
+    import isrecon.oracle
     from isrecon.oracle import SolutionOracle
-    monkeypatch.setenv("RECON_ORACLE_CAP", "3")
+    monkeypatch.setattr(isrecon.oracle, "ORACLE_CAP", 3)
     with pytest.raises(OracleCapacityError):
         SolutionOracle(c4())
 

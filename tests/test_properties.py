@@ -6,10 +6,11 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isrecon import (Graph, alpha_chordal, build_maximal_cotree, build_witness,
-                     chordality, compute_freedom, compute_ris_tables, decide,
-                     gen_chordal, gen_cograph, is_cograph, is_independent,
-                     is_module, realize, validate_tar_sequence)
+from isrecon import (Graph, alpha_chordal, bridge_max_sets, build_maximal_cotree,
+                     build_witness, chordality, compute_freedom,
+                     compute_ris_tables, decide, gen_chordal, gen_cograph,
+                     is_cograph, is_independent, realize, validate_tar_sequence)
+from isrecon.graph import bits, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph
 
@@ -44,17 +45,6 @@ def to_nx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-@SETTINGS
-@given(small_graphs())
-def test_is_module_matches_brute_force(g):
-    for mmask in range(1, 1 << g.n):
-        m = {v for v in range(g.n) if mmask & (1 << v)}
-        brute = all(
-            len(m & set(g.neighbors(v))) in (0, len(m))
-            for v in range(g.n) if v not in m)
-        assert is_module(g, m) == brute
 
 
 @SETTINGS
@@ -188,3 +178,19 @@ def test_witness_valid_whenever_reachable(inst):
     validate_tar_sequence(g, seq)
     assert seq.sets[0] == a and seq.sets[-1] == b
     assert seq.length <= 4 * g.n - len(a) - len(b)
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=10 ** 6), st.data())
+def test_bridge_moves_between_any_two_maximum_sets(n, seed, data):
+    g, _ = gen_cograph(n, seed)
+    sets = get_oracle(g).sets
+    alpha = max(s.bit_count() for s in sets)
+    maxima = [s for s in sets if s.bit_count() == alpha]
+    amask = data.draw(st.sampled_from(maxima))
+    bmask = data.draw(st.sampled_from(maxima))
+    seq = bridge_max_sets(build_maximal_cotree(g), bits(amask), bits(bmask), 0)
+    assert validate_tar_sequence(g, seq) == bmask
+    assert seq.length == (amask ^ bmask).bit_count()
+    assert seq.sets[0] == vertex_set(amask) and seq.sets[-1] == vertex_set(bmask)

@@ -7,7 +7,7 @@ import pytest
 import isrecon.cotree
 import isrecon.engine
 import isrecon.witness
-from isrecon import (Graph, InputError, UnsupportedGraphClassError,
+from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
                      accessible_subgraph, bridge_max_sets, build_maximal_cotree,
                      build_su_sequence, build_witness, compute_freedom,
                      compute_ris_tables, decide, gen_cograph, realize,
@@ -158,15 +158,30 @@ def test_build_witness_rejects_non_cograph():
         build_witness(p4(), [0, 2], [1, 3], 1)
 
 
+def test_validate_accepts_moves_and_returns_the_last_set():
+    seq = TarSequence(frozenset({0, 2}), [("remove", 0), ("remove", 2),
+                                          ("add", 1), ("add", 3)], 0)
+    assert validate_tar_sequence(c4(), seq) == 0b1010
+    assert seq.length == 4
+    assert seq.sets == [{0, 2}, {2}, set(), {1}, {1, 3}]
+
+
 def test_validate_rejects_bad_sequences():
-    g = c4()
-    with pytest.raises(Exception):
-        validate_tar_sequence(g, TarSequence([frozenset({0, 1})], 0))
-    with pytest.raises(Exception):
-        validate_tar_sequence(
-            g, TarSequence([frozenset({0}), frozenset({1, 3})], 0))
-    with pytest.raises(Exception):
-        validate_tar_sequence(g, TarSequence([frozenset({0}), frozenset()], 1))
+    for start, steps, k in [
+        ({0, 1}, [], 0),                     # start set not independent
+        ({0}, [], 2),                        # start set below k
+        ({0}, [("add", 0)], 0),              # adding a vertex already in
+        ({0}, [("add", 1)], 0),              # adding a neighbour
+        ({0}, [("remove", 2)], 0),           # removing an absent vertex
+        ({0, 2}, [("remove", 0)], 2),        # removal drops below k
+        ({0}, [("jump", 2)], 0),             # unknown op
+        ({0}, [("add", 4)], 0),              # vertex id n
+        ({0}, [("add", -1)], 0),             # vertex id -1
+        ({4}, [], 0),                        # start vertex id n
+        ({-1}, [], 0),                       # start vertex id -1
+    ]:
+        with pytest.raises(InternalError):
+            validate_tar_sequence(c4(), TarSequence(frozenset(start), steps, k))
 
 
 def test_restrict_realizes_the_accessible_subgraph():
