@@ -135,8 +135,9 @@ def cmd_decide(args) -> int:
     verdict = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k)
     ok, diag = verdict.reachable, verdict.failure_witness
     if args.format == "json":
+        failure = None if diag is None else {"node": diag[0], "reason": diag[1]}
         print(json.dumps({"reachable": ok, "k": inst.k, "n": inst.graph.n,
-                          "model": inst.model}))
+                          "model": inst.model, "failure": failure}))
     else:
         print("REACHABLE" if ok else "UNREACHABLE")
         if diag is not None:

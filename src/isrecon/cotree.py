@@ -143,9 +143,10 @@ def _co_components(adj, mask: int) -> list[int]:
 def build_maximal_cotree(g: Graph) -> Cotree:
     """Factor ``g`` by union/join splits until every piece is indecomposable.
 
-    Disconnectedness is tested before complement-disconnectedness, and
-    multiway splits are folded into left-deep binary chains, so the result
-    is deterministic.
+    Disconnectedness is tested before complement-disconnectedness, and a
+    k-way split is folded into a balanced binary tree of depth ceil(log2 k)
+    by pairing neighbouring parts, ordered by their smallest vertex, so the
+    result is deterministic.
     """
     if g.n < 1:
         raise InputError("cotree construction needs at least one vertex")
@@ -155,6 +156,10 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     def new_node(kind: str, vmask: int) -> int:
         nodes.append(CotreeNode(kind=kind, vmask=vmask))
         return len(nodes) - 1
+
+    def link(parent: int, left: int, right: int) -> None:
+        nodes[parent].left, nodes[parent].right = left, right
+        nodes[left].parent = nodes[right].parent = parent
 
     t.root = new_node(LEAF, g.full_mask)
     pending = [t.root]
@@ -170,18 +175,18 @@ def build_maximal_cotree(g: Graph) -> Cotree:
             kind = JOIN
         if len(parts) == 1:
             continue  # indecomposable leaf; graph materialized lazily
-        # Fold the parts into a left-deep chain rooted at u.
-        child_ids = [new_node(LEAF, p) for p in parts]
-        pending.extend(child_ids)
-        acc = child_ids[0]
-        for c in child_ids[1:-1]:
-            inner = new_node(kind, nodes[acc].vmask | nodes[c].vmask)
-            nodes[inner].left, nodes[inner].right = acc, c
-            nodes[acc].parent = nodes[c].parent = inner
-            acc = inner
+        # Pair neighbouring parts level by level, carrying an odd last part
+        # up, so the split has depth ceil(log2 k); u takes the last two.
+        level = [new_node(LEAF, p) for p in parts]
+        pending.extend(level)
+        while len(level) > 2:
+            paired = []
+            for a, b in zip(level[::2], level[1::2]):
+                paired.append(new_node(kind, nodes[a].vmask | nodes[b].vmask))
+                link(paired[-1], a, b)
+            level = paired + level[2 * len(paired):]
         nodes[u].kind = kind
-        nodes[u].left, nodes[u].right = acc, child_ids[-1]
-        nodes[acc].parent = nodes[child_ids[-1]].parent = u
+        link(u, *level)
     return t
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from isrecon import Graph, gen_cograph
-from isrecon.graph import bits
+from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle
 
 
@@ -33,6 +33,29 @@ def edgeless(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def alternating_threshold(n: int) -> Graph:
+    """Vertex v is isolated among 0..v-1 when v is even, dominating when odd.
+
+    Each vertex splits off the rest with one 2-way union or join, so the
+    cotree is a chain of depth n - 1.
+    """
+    odd = mask_of(range(1, n, 2))
+    adj = [odd & ~((2 << v) - 1) for v in range(n)]
+    for v in range(1, n, 2):
+        adj[v] |= (1 << v) - 1
+    return Graph(n, adj)
+
+
+def cotree_depth(t) -> int:
+    """The number of edges on the longest root-to-leaf path of a cotree."""
+    depth = {t.root: 0}
+    for u in t.preorder():
+        node = t.nodes[u]
+        if not node.is_leaf:
+            depth[node.left] = depth[node.right] = depth[u] + 1
+    return max(depth.values())
 
 
 def sample_triples(g: Graph, count: int, seed: int):

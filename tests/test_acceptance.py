@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one printed verdict each.
+"""Acceptance gate: eleven end-to-end criteria, one printed verdict each.
 
 Run with plain pytest; every test prints a single `[PASS]`/`[FAIL]` line
 (through the capture plugin) summarizing its criterion.
@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from isrecon import (build_maximal_cotree, build_witness, compute_freedom,
+from isrecon import (Graph, build_maximal_cotree, build_witness, compute_freedom,
                      compute_ris_tables, decide, gen_chordal, gen_cograph,
                      gen_composed, leaf_ris_table, tj_decide,
                      validate_tar_sequence)
@@ -19,8 +19,8 @@ from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle, oracle_diameter, oracle_reach, oracle_ris_all
 from isrecon.witness import build_su_sequence
 
-from helpers import (cograph_corpus, connected_chordal, greedy_independent_set,
-                     sample_triples)
+from helpers import (cograph_corpus, connected_chordal, edgeless,
+                     greedy_independent_set, sample_triples)
 
 CORPUS_SIZE = 500
 CORPUS_MAX_N = 12
@@ -279,3 +279,33 @@ def test_criterion_10_prime_leaf_scaling(capsys):
     ok = times[-1] <= 1.0
     _report(capsys, "criterion 10: prime-leaf scaling", ok,
             f"exponent {slope:.2f}, t(4000)={times[-1]:.2f}s")
+
+
+def test_criterion_11_union_chain_scaling(capsys):
+    """decide on edgeless graphs and perfect matchings, whose cotrees are
+    n-way and n/2-way unions, which cost quadratic time if folded left-deep."""
+    sizes = [1000, 2000, 4000]
+    families = {
+        "edgeless": edgeless,
+        "matching": lambda n: Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)]),
+    }
+    rng = random.Random(11)
+    ok, details = True, []
+    for name, make in families.items():
+        times = []
+        for n in sizes:
+            g = make(n)
+            a = greedy_independent_set(g, rng) - frozenset(rng.sample(range(n), n // 4))
+            b = greedy_independent_set(g, rng) - frozenset(rng.sample(range(n), n // 4))
+            k = min(len(a), len(b)) // 2
+            start = time.perf_counter()
+            decide(g, a, b, k)
+            times.append(time.perf_counter() - start)
+        xs = [math.log(n) for n in sizes]
+        ys = [math.log(max(dt, 1e-9)) for dt in times]
+        xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) \
+            / sum((x - xbar) ** 2 for x in xs)
+        ok = ok and times[-1] <= 1.0
+        details.append(f"{name}: exponent {slope:.2f}, t(4000)={times[-1]:.2f}s")
+    _report(capsys, "criterion 11: union-chain scaling", ok, "; ".join(details))

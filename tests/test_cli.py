@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isrecon import engine
 from isrecon.cli import main, parse_instance, parse_set
@@ -109,7 +113,8 @@ def test_decide_json(c4_file, capsys):
     assert main(["decide", c4_file, "0,2", "1,3", "-k", "0",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"reachable": True, "k": 0, "n": 4, "model": "tar"}
+    assert payload == {"reachable": True, "k": 0, "n": 4, "model": "tar",
+                       "failure": None}
 
 
 def test_witness_text_and_diff(c4_file, capsys):
@@ -240,3 +245,69 @@ def test_unexpected_exception_exits_4(c4_file, capsys, monkeypatch):
     assert main(["decide", c4_file, "0,2", "1,3", "-k", "1"]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: ZeroDivisionError: boom\n"
+
+
+def test_decide_json_names_the_failure(tmp_path, capsys):
+    f = tmp_path / "p3.g"
+    f.write_text("3 2\n0 1\n1 2\n")  # the path 0 - 1 - 2
+    assert main(["decide", str(f), "0,2", "1", "-k", "1"]) == 1
+    assert capsys.readouterr().out == "UNREACHABLE\nnode 1: freedom-mismatch\n"
+    assert main(["decide", str(f), "0,2", "1", "-k", "1", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failure"] == {"node": 1, "reason": "freedom-mismatch"}
+
+
+# Tokens for graph files and set specs: ids in and out of range, negative
+# and non-ASCII numbers, junk, comments and blanks.
+IDS = st.sampled_from("0123456")
+JUNK = st.sampled_from(["9", "12", "-1", "²", "x", "1.5", "#", "", " "])
+TOKENS = st.one_of(IDS, JUNK)
+JUNK_LINES = st.lists(TOKENS, max_size=3).map(" ".join)
+
+
+@st.composite
+def graph_files(draw) -> bytes:
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    if draw(st.booleans()):
+        return "\n".join(lines).encode()
+    at = draw(st.integers(min_value=0, max_value=len(lines)))
+    lines[at:at + draw(st.integers(0, 1))] = [draw(JUNK_LINES)]
+    return "\n".join(lines).encode() + draw(st.binary(max_size=4))
+
+
+@st.composite
+def cli_runs(draw, graph_path: str, set_path: str):
+    command = draw(st.sampled_from(["decide", "witness", "tables", "oracle"]))
+    specs = st.one_of(st.just("-"), st.just(f"@{set_path}"),
+                      st.lists(IDS, max_size=4).map(",".join),
+                      st.lists(TOKENS, max_size=4).map(",".join))
+    argv = [command, "-k", str(draw(st.integers(min_value=-2, max_value=8)))]
+    if command in ("decide", "oracle"):
+        argv += ["--model", draw(st.sampled_from(["tar", "tj"]))]
+    formats = {"decide": ["text", "json"], "witness": ["text", "diff", "json"]}
+    if command in formats:
+        argv += ["--format", draw(st.sampled_from(formats[command]))]
+    argv += ["--", graph_path, draw(specs)]
+    if command != "tables":
+        argv.append(draw(specs))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, data):
+    """Random and malformed graph files, set specs and k, run in-process:
+    every run ends in exit 0-3, never in exit 4 or an escaped exception."""
+    root = tmp_path_factory.getbasetemp()
+    graph_path, set_path = root / "fuzz.g", root / "fuzz.set"
+    graph_path.write_bytes(data.draw(graph_files()))
+    set_path.write_bytes(data.draw(st.one_of(
+        st.lists(TOKENS, max_size=4).map("\n".join).map(str.encode),
+        st.binary(max_size=8))))
+    argv = data.draw(cli_runs(str(graph_path), str(set_path)))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

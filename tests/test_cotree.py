@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from isrecon import Graph, InputError, build_maximal_cotree, is_cograph, realize
 from isrecon.cotree import JOIN, UNION
 
-from helpers import c4, complete, edgeless, p3, p4, two_k2
+from helpers import c4, complete, cotree_depth, edgeless, p3, p4, two_k2
 
 
 def test_single_vertex():
@@ -36,13 +38,16 @@ def test_p4_is_an_indecomposable_leaf():
     assert not is_cograph(p4())
 
 
-def test_multiway_union_folds_left_deep():
-    g = edgeless(4)
-    t = build_maximal_cotree(g)
-    # 4 leaves, 3 union nodes, left-deep: right child of the root is a leaf
-    kinds = [t.nodes[u].kind for u in t.preorder()]
-    assert kinds.count(UNION) == 3
-    assert t.nodes[t.nodes[t.root].right].is_leaf
+def test_multiway_split_folds_balanced():
+    for make, kind in ((edgeless, UNION), (complete, JOIN)):
+        for k in range(2, 34):
+            t = build_maximal_cotree(make(k))
+            internal = [u for u in t.preorder() if not t.nodes[u].is_leaf]
+            assert len(internal) == k - 1
+            assert all(t.nodes[u].kind == kind for u in internal)
+            assert cotree_depth(t) == math.ceil(math.log2(k))
+            leaves = [t.nodes[u].vmask for u in t.leaves()]
+            assert sorted(leaves) == [1 << v for v in range(k)]
 
 
 def test_realize_round_trip():

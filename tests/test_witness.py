@@ -16,8 +16,8 @@ from isrecon.cotree import restrict
 from isrecon.graph import mask_of
 from isrecon.witness import TarSequence
 
-from helpers import (c4, complete, edgeless, greedy_independent_set, p3, p4,
-                     sample_triples, two_k2)
+from helpers import (alternating_threshold, c4, cotree_depth, edgeless,
+                     greedy_independent_set, p3, p4, sample_triples, two_k2)
 
 
 def freedom_values(g, a, k):
@@ -211,12 +211,19 @@ def test_restrict_realizes_the_accessible_subgraph():
 
 
 def test_restrict_deep_union_chain():
-    n = 3000
-    t = build_maximal_cotree(edgeless(n))
-    keep = mask_of(range(0, n, 2))
-    r = restrict(t, keep)
-    assert r.nodes[r.root].vmask == keep
+    n = 1500  # a chain deeper than Python's default recursion limit
+    g = alternating_threshold(n)
+    t = build_maximal_cotree(g)
+    assert cotree_depth(t) == n - 1
+    evens = frozenset(range(0, n, 2))
+    r = restrict(t, mask_of(evens))
+    assert r.nodes[r.root].vmask == mask_of(evens)
     assert sum(r.nodes[u].is_leaf for u in r.postorder()) == n // 2
+    # n - 1 is adjacent to every other vertex, so one token cannot stay
+    assert not decide(g, evens, {n - 1}, 1).reachable
+    b = (evens - {0}) | {1}
+    seq = build_witness(g, evens, b, 1)
+    assert seq.sets[0] == evens and seq.sets[-1] == b
 
 
 def _pruned_instance():
