@@ -99,10 +99,11 @@ class Cotree:
         return "\n".join(lines)
 
 
-def _components(adj, mask: int) -> list[int]:
+def _components(adj, mask: int, flip: int) -> list[int]:
     """Connected components of the subgraph induced by ``mask``, as masks.
 
-    Ordered by their smallest vertex id.
+    With ``flip`` = ``mask`` every row is complemented within ``mask``, which
+    gives the components of the complement.  Ordered by smallest vertex id.
     """
     comps = []
     remaining = mask
@@ -113,26 +114,7 @@ def _components(adj, mask: int) -> list[int]:
         while frontier:
             nxt = 0
             for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
-def _co_components(adj, mask: int) -> list[int]:
-    """Components of the complement of the subgraph induced by ``mask``."""
-    comps = []
-    remaining = mask
-    while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= mask & ~adj[v]
+                nxt |= adj[v] ^ flip
             frontier = nxt & remaining & ~comp
             comp |= frontier
         comps.append(comp)
@@ -168,10 +150,10 @@ def build_maximal_cotree(g: Graph) -> Cotree:
         mask = nodes[u].vmask
         if mask.bit_count() == 1:
             continue  # trivial leaf
-        parts = _components(g.adj, mask)
+        parts = _components(g.adj, mask, 0)
         kind = UNION
         if len(parts) == 1:
-            parts = _co_components(g.adj, mask)
+            parts = _components(g.adj, mask, mask)
             kind = JOIN
         if len(parts) == 1:
             continue  # indecomposable leaf; graph materialized lazily

@@ -27,7 +27,7 @@ class RisTable:
     """Per-node DP row: values[ell] is the best reachable size at bound ell.
 
     ``tuples`` is populated at union nodes only and stores, for every ell,
-    the maximum ell-stable tuple (minimum child occupancies).
+    the greatest fixpoint of the ell-stable iteration (minimum occupancies).
     """
 
     base: int                      # |I intersect V_u|

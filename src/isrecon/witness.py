@@ -4,17 +4,19 @@ A witness is a start set plus single-token moves ('add'|'remove', v), so no
 other jump can be written down.  When the decision procedure answers yes,
 the at most 4n - |A| - |B| moves are assembled in three legs: climb from A
 to a maximum independent set of the accessible subgraph, swap join sides
-between two maximum sets, and descend (B's climb, reversed) to B.
+between two maximum sets, and descend (B's climb, reversed) to B.  A climb
+is likewise a start set plus steps, built in one postorder pass that reads
+each subtree's alpha from entry 0 of its RIS table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 from typing import Iterable
 
-from .cotree import Cotree, JOIN, UNION, build_maximal_cotree, restrict
+from .cotree import Cotree, JOIN, build_maximal_cotree, restrict
 from .engine import (NodeValues, RisTable, _decide_tree, _independent_masks,
                      compute_ris_tables)
 from .errors import (InputError, InternalError, UnreachableError,
@@ -81,34 +83,29 @@ def validate_tar_sequence(g: Graph, seq: TarSequence) -> int:
     return cur
 
 
+Step = tuple[tuple[int, ...], tuple[int, ...]]  # (removals, additions)
+
+
 @dataclass
 class SuSequence:
-    """Monotone climb C_0..C_p within one cotree subtree, with move recipes.
+    """Monotone climb C_0..C_p within one cotree subtree, as a start set and steps.
 
     ``steps[i]`` realizes C_i -> C_{i+1} as ordered removals followed by
     ordered additions; every vertex is added at most once over the climb.
+    ``sets`` replays them on demand.
     """
 
-    sets: list[VertexSet]
-    steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
+    start: VertexSet
+    steps: list[Step]
 
-
-def _max_is_masks(t: Cotree, u: int) -> dict[int, int]:
-    """A canonical maximum independent set (as a mask) per subtree node."""
-    masks: dict[int, int] = {}
-    for x in t.postorder(u):
-        node = t.nodes[x]
-        if node.is_leaf:
-            if not node.is_trivial_leaf:
-                raise UnsupportedGraphClassError(
-                    "witness construction requires single-vertex leaves")
-            masks[x] = node.vmask
-        elif node.kind == UNION:
-            masks[x] = masks[node.left] | masks[node.right]
-        else:
-            lm, rm = masks[node.left], masks[node.right]
-            masks[x] = lm if lm.bit_count() >= rm.bit_count() else rm
-    return masks
+    @property
+    def sets(self) -> list[VertexSet]:
+        cur = self.start
+        out = [cur]
+        for removals, additions in self.steps:
+            cur = cur.difference(removals).union(additions)
+            out.append(cur)
+        return out
 
 
 def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
@@ -125,66 +122,65 @@ def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
 
 def _su_sequence(t: Cotree, u: int, imask: int,
                  tables: dict[int, RisTable]) -> SuSequence:
-    """``build_su_sequence`` given the tables of ``imask`` on ``t``."""
-    maxis = _max_is_masks(t, u)
-    results: dict[int, SuSequence] = {}
+    """``build_su_sequence`` given the tables of ``imask`` on ``t``.
+
+    Every node keeps its climb as (start mask, top mask, steps).  A
+    subtree's alpha is entry 0 of its table, every climb tops out at a
+    maximum set of its subtree, and an unoccupied join takes the top of its
+    child with the larger alpha (the left child on ties).
+    """
+    climbs: dict[int, tuple[int, int, list[Step]]] = {}
     for x in t.postorder(u):
         node = t.nodes[x]
         if node.is_leaf:
-            v = node.vmask.bit_length() - 1
-            if imask & node.vmask:
-                results[x] = SuSequence([frozenset((v,))])
-            else:
-                results[x] = SuSequence([frozenset(), frozenset((v,))], [((), (v,))])
+            if not node.is_trivial_leaf:
+                raise UnsupportedGraphClassError(
+                    "witness construction requires single-vertex leaves")
+            v = node.vmask
+            climbs[x] = ((v, v, []) if imask & v
+                         else (0, v, [((), (v.bit_length() - 1,))]))
         elif node.kind == JOIN:
-            alpha_u = maxis[x].bit_count()
+            alpha_u = tables[x].values[0]
             if tables[x].base == 0:
-                top = vertex_set(maxis[x])
-                results[x] = SuSequence([frozenset(), top], [((), tuple(sorted(top)))])
+                top = climbs[node.left][1]
+                if top.bit_count() < alpha_u:
+                    top = climbs[node.right][1]
+                climbs[x] = (0, top, [((), tuple(bits(top)))])
                 continue
             occ, emp = node.left, node.right
             if tables[occ].base == 0:
                 occ, emp = node.right, node.left
-            sub = results[occ]
-            sets, steps = list(sub.sets), list(sub.steps)
-            if len(sets[-1]) < alpha_u:
-                top = vertex_set(maxis[emp])
-                steps.append((tuple(sorted(sets[-1])), tuple(sorted(top))))
-                sets.append(top)
-            results[x] = SuSequence(sets, steps)
+            start, top, steps = climbs[occ]  # only x reads it: extend in place
+            if top.bit_count() < alpha_u:
+                switch = climbs[emp][1]
+                steps.append((tuple(bits(top)), tuple(bits(switch))))
+                top = switch
+            climbs[x] = (start, top, steps)
         else:  # union: interleave the children's climbs
-            tv, tw = tables[node.left], tables[node.right]
-            sv, sw = results[node.left], results[node.right]
-            alpha_v = maxis[node.left].bit_count()
-            alpha_w = maxis[node.right].bit_count()
-            base_u = tables[x].base
-
+            start_v, top_v, steps_v = climbs[node.left]
+            start_w, top_w, steps_w = climbs[node.right]
+            tv, tw = tables[node.left].values, tables[node.right].values
+            q, r = start_v.bit_count(), start_w.bit_count()
             b = c = 0
-            sets = [sv.sets[0] | sw.sets[0]]
-            steps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            while True:
-                q, r = len(sv.sets[b]), len(sw.sets[c])
-                if q == alpha_v and r == alpha_w:
-                    break
-                advance_v = None
-                for ell in range(base_u, -1, -1):
-                    if tv.values[max(ell - r, 0)] > q:
-                        advance_v = True
+            steps = []
+            while q != tv[0] or r != tw[0]:
+                for ell in range(tables[x].base, -1, -1):
+                    if tv[max(ell - r, 0)] > q:
+                        step = steps_v[b]
+                        b += 1
+                        q += len(step[1]) - len(step[0])
                         break
-                    if tw.values[max(ell - q, 0)] > r:
-                        advance_v = False
+                    if tw[max(ell - q, 0)] > r:
+                        step = steps_w[c]
+                        c += 1
+                        r += len(step[1]) - len(step[0])
                         break
-                if advance_v is None:
-                    raise InternalError("stuck union climb: no threshold improves")
-                if advance_v:
-                    steps.append(sv.steps[b])
-                    b += 1
                 else:
-                    steps.append(sw.steps[c])
-                    c += 1
-                sets.append(sv.sets[b] | sw.sets[c])
-            results[x] = SuSequence(sets, steps)
-    return results[u]
+                    raise InternalError("stuck union climb: no threshold improves")
+                steps.append(step)
+            climbs[x] = (start_v | start_w, top_v | top_w, steps)
+    start, _, steps = climbs[u]
+    return SuSequence(vertex_set(start), steps)
 
 
 def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
@@ -207,7 +203,7 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
     for removals, additions in su.steps:
         steps += [("remove", v) for v in removals]
         steps += [("add", v) for v in additions]
-    return TarSequence(su.sets[0], steps, k)
+    return TarSequence(su.start, steps, k)
 
 
 def accessible_subgraph(t: Cotree, values_a: NodeValues, k: int) -> VertexSet:
@@ -238,7 +234,10 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
     """
     amask = t.graph.check_vertex_set(a_max)
     bmask = t.graph.check_vertex_set(b_max)
-    alpha = _max_is_masks(t, t.root)[t.root].bit_count()
+    if not t.all_leaves_trivial():
+        raise UnsupportedGraphClassError(
+            "witness construction requires single-vertex leaves")
+    alpha = compute_ris_tables(t, ())[t.root].values[0]
     for m in (amask, bmask):
         if m.bit_count() != alpha or not is_independent(t.graph, bits(m)):
             raise InputError("bridging requires maximum independent sets")
@@ -278,12 +277,12 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     r = restrict(t, mask_of(accessible_subgraph(t, vals_a, k)))
     if (amask | bmask) & ~r.nodes[r.root].vmask:
         raise InternalError("an endpoint vertex was classified inaccessible")
-    if amask == bmask:
-        alpha = _max_is_masks(r, r.root)[r.root].bit_count()
-        return TarSequence(vertex_set(amask), [], k, alpha)
     seq_a = sequence_to_max(r, bits(amask), k)
+    top_a = _end_mask(seq_a)
+    if amask == bmask:
+        return TarSequence(vertex_set(amask), [], k, top_a.bit_count())
     seq_b = sequence_to_max(r, bits(bmask), k)
-    top_a, top_b = _end_mask(seq_a), _end_mask(seq_b)
+    top_b = _end_mask(seq_b)
     bridge = bridge_max_sets(r, bits(top_a), bits(top_b), k)
     descent = [("add" if op == "remove" else "remove", v)
                for op, v in reversed(seq_b.steps)]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isrecon import (Graph, alpha_chordal, bridge_max_sets, build_maximal_cotree,
@@ -118,9 +118,15 @@ def test_ris_tables_monotone_and_bounded(inst):
         assert all(v >= base for v in tab.values)
 
 
+# At ell = 2 the root union of this graph has the fixpoints (0, 0) and
+# (1, 1) for A = {0, 2}; the greatest one, (1, 1), is the children's freedom.
+_TWO_FIXPOINTS = (gen_cograph(8, 69)[0], frozenset({0, 2}), frozenset({0, 2}), 0)
+
+
 @SETTINGS
 @given(cograph_instances())
-def test_union_tuples_are_minimal_fixpoints(inst):
+@example(_TWO_FIXPOINTS)
+def test_union_tuples_are_maximal_fixpoints(inst):
     g, a, _, _ = inst
     t = build_maximal_cotree(g)
     tabs = compute_ris_tables(t, a)
@@ -138,7 +144,7 @@ def test_union_tuples_are_minimal_fixpoints(inst):
                 for yy in range(tw.base + 1):
                     if xx == max(0, ell - tw.values[yy]) \
                             and yy == max(0, ell - tv.values[xx]):
-                        assert x <= xx and y <= yy
+                        assert x >= xx and y >= yy
 
 
 @SETTINGS

@@ -48,6 +48,14 @@ def test_accessible_subgraph_rejects_nontrivial_leaves():
         accessible_subgraph(t, vals, 1)
 
 
+def test_climb_and_bridge_reject_a_prime_leaf():
+    t = build_maximal_cotree(p4())  # P4 is one prime leaf
+    with pytest.raises(UnsupportedGraphClassError):
+        bridge_max_sets(t, [0, 2], [1, 3], 0)
+    with pytest.raises(UnsupportedGraphClassError):
+        build_su_sequence(t, t.root, [0])
+
+
 def test_su_sequence_trivial_cases():
     t = build_maximal_cotree(edgeless(1))
     su = build_su_sequence(t, t.root, [0])
