@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import engine, oracle as oraclemod, witness as witnessmod
 from .cotree import build_maximal_cotree
@@ -22,15 +21,6 @@ EXIT_UNREACHABLE = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass
-class Instance:
-    graph: Graph
-    set_a: VertexSet
-    set_b: VertexSet
-    k: int
-    model: str
 
 
 def _strip(line: str) -> str:
@@ -111,7 +101,9 @@ def parse_set(spec: str, n: int, what: str) -> VertexSet:
 
 
 def parse_instance(graph_file: str, a_spec: str, b_spec: str, k: int,
-                   model: str = oraclemod.TAR) -> Instance:
+                   model: str = oraclemod.TAR
+                   ) -> tuple[Graph, VertexSet, VertexSet, int]:
+    """The graph, sets A and B, and the TAR token bound (|A| - 1 under TJ)."""
     g = load_graph(graph_file)
     a = parse_set(a_spec, g.n, "set A")
     b = parse_set(b_spec, g.n, "set B")
@@ -122,7 +114,7 @@ def parse_instance(graph_file: str, a_spec: str, b_spec: str, k: int,
         if len(a) != len(b):
             raise InputError("the TJ model requires |A| = |B|")
         k = len(a) - 1 if a else 0
-    return Instance(g, a, b, k, model)
+    return g, a, b, k
 
 
 def _setline(s: VertexSet) -> str:
@@ -130,14 +122,14 @@ def _setline(s: VertexSet) -> str:
 
 
 def cmd_decide(args) -> int:
-    inst = parse_instance(args.graph, args.a, args.b, args.k, args.model)
-    # under TJ, inst.k is |A| - 1, the TAR bound with the same answer
-    verdict = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k)
+    g, a, b, k = parse_instance(args.graph, args.a, args.b, args.k, args.model)
+    # under TJ, k is |A| - 1, the TAR bound with the same answer
+    verdict = engine.decide(g, a, b, k)
     ok, diag = verdict.reachable, verdict.failure_witness
     if args.format == "json":
         failure = None if diag is None else {"node": diag[0], "reason": diag[1]}
-        print(json.dumps({"reachable": ok, "k": inst.k, "n": inst.graph.n,
-                          "model": inst.model, "failure": failure}))
+        print(json.dumps({"reachable": ok, "k": k, "n": g.n,
+                          "model": args.model, "failure": failure}))
     else:
         print("REACHABLE" if ok else "UNREACHABLE")
         if diag is not None:
@@ -148,15 +140,15 @@ def cmd_decide(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    inst = parse_instance(args.graph, args.a, args.b, args.k, oraclemod.TAR)
-    seq = witnessmod.build_witness(inst.graph, inst.set_a, inst.set_b, inst.k)
+    g, a, b, k = parse_instance(args.graph, args.a, args.b, args.k)
+    seq = witnessmod.build_witness(g, a, b, k)
     if args.format == "json":
         print(json.dumps({
             "reachable": True,
             "length": seq.length,
             "sets": [sorted(s) for s in seq.sets],
             "steps": [{"op": op, "v": v} for op, v in seq.steps],
-            "stats": {"n": inst.graph.n, "k": inst.k,
+            "stats": {"n": g.n, "k": k,
                       "alpha_accessible": seq.alpha_accessible},
         }))
     elif args.format == "diff":
@@ -170,10 +162,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    inst = parse_instance(args.graph, args.a, args.a, args.k, oraclemod.TAR)
-    t = build_maximal_cotree(inst.graph)
-    ris = engine.compute_ris_tables(t, inst.set_a)
-    vals = engine.compute_freedom(t, inst.set_a, inst.k, ris)
+    g, a, _, k = parse_instance(args.graph, args.a, "-", args.k)
+    t = build_maximal_cotree(g)
+    ris = engine.compute_ris_tables(t, a)
+    vals = engine.compute_freedom(t, k, ris)
     print(t.dump())
     for u in t.preorder():
         tab = ris[u]
@@ -186,12 +178,12 @@ def cmd_tables(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = parse_instance(args.graph, args.a, args.b, args.k, args.model)
-    fast = engine.decide(inst.graph, inst.set_a, inst.set_b, inst.k).reachable
+    g, a, b, k = parse_instance(args.graph, args.a, args.b, args.k, args.model)
+    fast = engine.decide(g, a, b, k).reachable
     # the oracle's TJ model counts all |A| tokens, not the TAR bound |A| - 1
-    k = len(inst.set_a) if inst.model == oraclemod.TJ else inst.k
-    ok, length = oraclemod.oracle_reach(inst.graph, inst.set_a, inst.set_b, k,
-                                        inst.model)
+    if args.model == oraclemod.TJ:
+        k = len(a)
+    ok, length = oraclemod.oracle_reach(g, a, b, k, args.model)
     if fast != ok:
         print(f"MISMATCH: engine={fast} oracle={ok}", file=sys.stderr)
         return EXIT_INTERNAL

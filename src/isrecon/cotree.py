@@ -24,7 +24,6 @@ class CotreeNode:
     vmask: int              # vertex set V_u as a bitmask in root-graph ids
     left: int = -1
     right: int = -1
-    parent: int = -1
     leaf_graph: Optional[Graph] = None  # only for leaves, built on first access
 
     @property
@@ -45,8 +44,12 @@ class Cotree:
     def vertices(self, u: int) -> frozenset:
         return vertex_set(self.nodes[u].vmask)
 
-    def preorder(self) -> Iterator[int]:
-        stack = [self.root]
+    def preorder(self, start: Optional[int] = None) -> Iterator[int]:
+        """Parents before children, in the subtree of ``start`` (default: root).
+
+        The left subtree comes before the right one.
+        """
+        stack = [self.root if start is None else start]
         while stack:
             u = stack.pop()
             yield u
@@ -56,17 +59,11 @@ class Cotree:
                 stack.append(node.left)
 
     def postorder(self, start: Optional[int] = None) -> Iterator[int]:
-        """Children before parents, in the subtree of ``start`` (default: root)."""
-        out = []
-        stack = [self.root if start is None else start]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            node = self.nodes[u]
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        return iter(reversed(out))
+        """Children before parents, in the subtree of ``start`` (default: root).
+
+        The reverse of ``preorder``, so the right subtree comes first.
+        """
+        return reversed(list(self.preorder(start)))
 
     def leaves(self) -> Iterator[int]:
         return (u for u in self.preorder() if self.nodes[u].is_leaf)
@@ -135,13 +132,9 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     t = Cotree(graph=g)
     nodes = t.nodes
 
-    def new_node(kind: str, vmask: int) -> int:
-        nodes.append(CotreeNode(kind=kind, vmask=vmask))
+    def new_node(kind: str, vmask: int, left: int = -1, right: int = -1) -> int:
+        nodes.append(CotreeNode(kind, vmask, left, right))
         return len(nodes) - 1
-
-    def link(parent: int, left: int, right: int) -> None:
-        nodes[parent].left, nodes[parent].right = left, right
-        nodes[left].parent = nodes[right].parent = parent
 
     t.root = new_node(LEAF, g.full_mask)
     pending = [t.root]
@@ -164,11 +157,10 @@ def build_maximal_cotree(g: Graph) -> Cotree:
         while len(level) > 2:
             paired = []
             for a, b in zip(level[::2], level[1::2]):
-                paired.append(new_node(kind, nodes[a].vmask | nodes[b].vmask))
-                link(paired[-1], a, b)
+                paired.append(new_node(kind, nodes[a].vmask | nodes[b].vmask, a, b))
             level = paired + level[2 * len(paired):]
         nodes[u].kind = kind
-        link(u, *level)
+        nodes[u].left, nodes[u].right = level
     return t
 
 
@@ -196,7 +188,6 @@ def restrict(t: Cotree, keep: int) -> Cotree:
                 copy[u] = max(left, right)
                 continue
             r.nodes.append(CotreeNode(node.kind, vmask, left, right))
-            r.nodes[left].parent = r.nodes[right].parent = len(r.nodes) - 1
         copy[u] = len(r.nodes) - 1
     if copy[t.root] < 0:
         raise InputError("cannot restrict a cotree to no vertices")

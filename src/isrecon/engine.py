@@ -104,8 +104,8 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
     tables: dict[int, RisTable] = {}
     for u in t.postorder():
         node = t.nodes[u]
-        base = (imask & node.vmask).bit_count()
         if node.kind == LEAF:
+            base = (imask & node.vmask).bit_count()
             if node.is_trivial_leaf:
                 tables[u] = RisTable(base=base, values=[1] * (base + 1))
             else:
@@ -121,10 +121,12 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
     return tables
 
 
-def compute_freedom(t: Cotree, i: Iterable[int], k: int,
-                    ris: dict[int, RisTable]) -> NodeValues:
-    """Top-down pass: freedom values and blocked flags, for 0 <= k <= |i|."""
-    imask = t.graph.check_vertex_set(i)
+def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
+    """Top-down pass over the set's tables ``ris``, for 0 <= k <= its size.
+
+    The set is read only through ``ris``: a join's occupied child is the one
+    whose table base is positive, or the left child when neither is.
+    """
     if not 0 <= k <= ris[t.root].base:
         raise InputError(f"token bound k={k} is outside 0..{ris[t.root].base}, "
                          "the size of the set")
@@ -137,11 +139,9 @@ def compute_freedom(t: Cotree, i: Iterable[int], k: int,
         f = freedom[u]
         blk = blocked[u]
         if node.kind == JOIN:
-            left_occ = bool(imask & t.nodes[node.left].vmask)
-            right_occ = bool(imask & t.nodes[node.right].vmask)
-            if left_occ and right_occ:
-                raise InternalError("independent set straddles a join node")
-            occ, emp = (node.right, node.left) if right_occ else (node.left, node.right)
+            occ, emp = node.left, node.right
+            if ris[emp].base > 0:
+                occ, emp = emp, occ
             freedom[occ], freedom[emp] = f, 0
             blocked[occ] = blk
             blocked[emp] = blk or f >= 1
@@ -168,8 +168,8 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
     """
     ris_a = compute_ris_tables(t, bits(amask))
     ris_b = compute_ris_tables(t, bits(bmask))
-    vals_a = compute_freedom(t, bits(amask), k, ris_a)
-    vals_b = compute_freedom(t, bits(bmask), k, ris_b)
+    vals_a = compute_freedom(t, k, ris_a)
+    vals_b = compute_freedom(t, k, ris_b)
     for u in t.preorder():
         if vals_a.freedom[u] != vals_b.freedom[u]:
             return Decision(False, (u, FREEDOM_MISMATCH)), vals_a

@@ -116,18 +116,17 @@ def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
     whichever child still improves at the largest surviving threshold (the
     left child on ties).
     """
-    imask = t.graph.check_vertex_set(i)
-    return _su_sequence(t, u, imask, compute_ris_tables(t, bits(imask)))
+    return _su_sequence(t, u, compute_ris_tables(t, i))
 
 
-def _su_sequence(t: Cotree, u: int, imask: int,
-                 tables: dict[int, RisTable]) -> SuSequence:
-    """``build_su_sequence`` given the tables of ``imask`` on ``t``.
+def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
+    """``build_su_sequence`` given the start set's tables on ``t``.
 
-    Every node keeps its climb as (start mask, top mask, steps).  A
-    subtree's alpha is entry 0 of its table, every climb tops out at a
-    maximum set of its subtree, and an unoccupied join takes the top of its
-    child with the larger alpha (the left child on ties).
+    The set is read only through ``tables``: a trivial leaf is occupied when
+    its base is 1.  Every node keeps its climb as (start mask, top mask,
+    steps).  A subtree's alpha is entry 0 of its table, every climb tops out
+    at a maximum set of its subtree, and an unoccupied join takes the top of
+    its child with the larger alpha (the left child on ties).
     """
     climbs: dict[int, tuple[int, int, list[Step]]] = {}
     for x in t.postorder(u):
@@ -137,7 +136,7 @@ def _su_sequence(t: Cotree, u: int, imask: int,
                 raise UnsupportedGraphClassError(
                     "witness construction requires single-vertex leaves")
             v = node.vmask
-            climbs[x] = ((v, v, []) if imask & v
+            climbs[x] = ((v, v, []) if tables[x].base
                          else (0, v, [((), (v.bit_length() - 1,))]))
         elif node.kind == JOIN:
             alpha_u = tables[x].values[0]
@@ -190,15 +189,14 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
     (true after restriction to the accessible subgraph); the result has
     length at most 2n - |i| - alpha.
     """
-    imask = t.graph.check_vertex_set(i)
-    tables = compute_ris_tables(t, bits(imask))
+    tables = compute_ris_tables(t, i)
     root = tables[t.root]
     kk = max(k, 0)
     if kk > root.base or root.values[kk] != root.values[0]:
         raise InternalError(
             "no maximum independent set is reachable at this threshold; "
             "restrict to the accessible subgraph first")
-    su = _su_sequence(t, t.root, imask, tables)
+    su = _su_sequence(t, t.root, tables)
     steps = []
     for removals, additions in su.steps:
         steps += [("remove", v) for v in removals]
@@ -206,11 +204,13 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
     return TarSequence(su.start, steps, k)
 
 
-def accessible_subgraph(t: Cotree, values_a: NodeValues, k: int) -> VertexSet:
+def accessible_subgraph(t: Cotree, values_a: NodeValues) -> VertexSet:
     """All vertices that some reachable independent set contains.
 
-    A vertex is inaccessible exactly when its leaf sits below the empty side
-    of a join node that must keep at least one token on the occupied side.
+    ``values_a`` is the top-down pass of a start set at its token bound.  A
+    vertex is inaccessible exactly when its leaf sits below the empty side
+    of a join node that must keep at least one token on the occupied side;
+    at bound 0 no leaf is blocked.
     """
     acc = 0
     for u in t.leaves():
@@ -218,7 +218,7 @@ def accessible_subgraph(t: Cotree, values_a: NodeValues, k: int) -> VertexSet:
         if not node.is_trivial_leaf:
             raise UnsupportedGraphClassError(
                 "accessibility analysis requires single-vertex leaves")
-        if k <= 0 or not values_a.blocked[u]:
+        if not values_a.blocked[u]:
             acc |= node.vmask
     return vertex_set(acc)
 
@@ -274,7 +274,7 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     verdict, vals_a = _decide_tree(t, amask, bmask, max(k, 0))
     if not verdict.reachable:
         raise UnreachableError("the target set is not reachable at this threshold")
-    r = restrict(t, mask_of(accessible_subgraph(t, vals_a, k)))
+    r = restrict(t, mask_of(accessible_subgraph(t, vals_a)))
     if (amask | bmask) & ~r.nodes[r.root].vmask:
         raise InternalError("an endpoint vertex was classified inaccessible")
     seq_a = sequence_to_max(r, bits(amask), k)

@@ -75,7 +75,7 @@ def test_criterion_2_oracle_equivalence_cographs(capsys):
             if len(a) < k or len(b) < k:
                 continue
             tabs = compute_ris_tables(t, a)
-            vals = compute_freedom(t, a, k, tabs)
+            vals = compute_freedom(t, k, tabs)
             for u, vm in zip(order, vmasks):
                 want = min((j & vm).bit_count() for j in family)
                 assert vals.freedom[u] == want, (seed, sorted(a), k, u)

@@ -47,11 +47,11 @@ def p4_file(tmp_path):
 
 
 def test_parse_instance(c4_file):
-    inst = parse_instance(c4_file, "0,2", "1,3", 1)
-    assert inst.graph.n == 4
-    assert inst.set_a == frozenset({0, 2})
-    assert inst.set_b == frozenset({1, 3})
-    assert inst.k == 1
+    g, a, b, k = parse_instance(c4_file, "0,2", "1,3", 1)
+    assert g.n == 4
+    assert a == frozenset({0, 2})
+    assert b == frozenset({1, 3})
+    assert k == 1
 
 
 def test_parse_set_variants(tmp_path):
@@ -85,8 +85,8 @@ def test_graph_parse_errors(tmp_path):
 def test_duplicate_edge_warns_and_dedupes(tmp_path, capsys):
     f = tmp_path / "dup.g"
     f.write_text("3 2\n0 1\n0 1\n")
-    inst = parse_instance(str(f), "2", "2", 0)
-    assert inst.graph.edge_count() == 1
+    g, *_ = parse_instance(str(f), "2", "2", 0)
+    assert g.edge_count() == 1
     assert "duplicate edge" in capsys.readouterr().err
 
 

@@ -1,8 +1,11 @@
 import math
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from isrecon import Graph, InputError, build_maximal_cotree, is_cograph, realize
+from isrecon import (Graph, InputError, build_maximal_cotree, gen_cograph,
+                     is_cograph, realize)
 from isrecon.cotree import JOIN, UNION
 
 from helpers import c4, complete, cotree_depth, edgeless, p3, p4, two_k2
@@ -84,3 +87,22 @@ def test_vmasks_partition_at_every_internal_node():
 def test_preorder_postorder_cover_all_nodes():
     t = build_maximal_cotree(c4())
     assert sorted(t.preorder()) == sorted(t.postorder()) == sorted(range(len(t.nodes)))
+    # a random cograph, and a folded 7-way split
+    for t in (build_maximal_cotree(gen_cograph(40, 3)[0]),
+              build_maximal_cotree(edgeless(7))):
+        pre = {u: i for i, u in enumerate(t.preorder())}
+        post = {u: i for i, u in enumerate(t.postorder())}
+        assert sorted(pre) == sorted(post) == list(range(len(t.nodes)))
+        for u, node in enumerate(t.nodes):
+            if not node.is_leaf:
+                for child in (node.left, node.right):
+                    assert pre[u] < pre[child] and post[child] < post[u]
+            if u == t.root:
+                continue
+            # the subtree of u: the nodes whose vertex sets lie inside u's
+            subtree = {x for x, other in enumerate(t.nodes)
+                       if other.vmask & ~node.vmask == 0}
+            for order in (list(t.preorder(u)), list(t.postorder(u))):
+                assert len(order) == len(set(order)) and set(order) == subtree
+                assert reduce(or_, (t.nodes[x].vmask for x in order
+                                    if t.nodes[x].is_leaf)) == node.vmask

@@ -71,7 +71,7 @@ def test_compute_freedom_blocks_empty_join_side():
     g = c4()
     t = build_maximal_cotree(g)
     tabs = compute_ris_tables(t, [0, 2])
-    vals = compute_freedom(t, [0, 2], 1, tabs)
+    vals = compute_freedom(t, 1, tabs)
     root = t.nodes[t.root]
     occupied = root.left if 0 in t.vertices(root.left) else root.right
     empty = root.right if occupied == root.left else root.left
@@ -85,7 +85,7 @@ def test_compute_freedom_blocks_empty_join_side():
 def test_compute_freedom_at_zero_blocks_nothing():
     t = build_maximal_cotree(c4())
     tabs = compute_ris_tables(t, [0, 2])
-    vals = compute_freedom(t, [0, 2], 0, tabs)
+    vals = compute_freedom(t, 0, tabs)
     assert not any(vals.blocked.values())
 
 

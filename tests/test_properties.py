@@ -170,8 +170,8 @@ def test_accessible_matches_oracle(inst):
         return
     t = build_maximal_cotree(g)
     tabs = compute_ris_tables(t, a)
-    vals = compute_freedom(t, a, k, tabs)
-    assert accessible_subgraph(t, vals, k) == oracle_accessible(g, a, k)
+    vals = compute_freedom(t, k, tabs)
+    assert accessible_subgraph(t, vals) == oracle_accessible(g, a, k)
 
 
 @SETTINGS
