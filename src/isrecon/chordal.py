@@ -5,8 +5,9 @@ Yannakakis, *SIAM J. Comput.* 13(3), 1984): the reverse of its visit order
 is a perfect elimination ordering exactly when the graph is chordal, and a
 maximum independent set follows greedily along that ordering.  Reachability
 and maximum-reachable-size inside a chordal leaf reduce to a dominating-set
-test, because chordal graphs are even-hole-free.  Each leaf graph is
-analysed once: its independence number is stored on the immutable ``Graph``.
+test, because chordal graphs are even-hole-free; a set's leaf table records
+the test's answer, and ``pinned`` reads it.  Each leaf graph is analysed
+once: its independence number is stored on the immutable ``Graph``.
 """
 
 from __future__ import annotations
@@ -108,34 +109,35 @@ def _leaf_alpha(g: Graph) -> int:
     return g._chordal_alpha
 
 
+def pinned(values: list[int], ell: int) -> bool:
+    """True iff a set with leaf table ``values`` is stuck at bound ``ell``.
+
+    It is then a dominating set of exactly ``ell`` > 0 tokens.
+    """
+    return 0 < ell == len(values) - 1 == values[ell]
+
+
 def leaf_reachable(g: Graph, a: Iterable[int], b: Iterable[int], ell: int) -> bool:
     """TAR reachability between independent sets of a chordal graph.
 
     Distinct sets are mutually reachable at threshold ``ell`` unless one of
-    them is a dominating set of size exactly ``ell`` (such a set is isolated
-    in the solution graph).  Threshold 0 always connects.
+    them is pinned there: a dominating set of size exactly ``ell`` is
+    isolated in the solution graph.
     """
     amask = g.check_vertex_set(a)
     bmask = g.check_vertex_set(b)
-    if not is_independent(g, bits(amask)) or not is_independent(g, bits(bmask)):
-        raise InputError("leaf_reachable requires independent sets")
     if amask.bit_count() < ell or bmask.bit_count() < ell:
         raise InputError("both sets must have size at least the threshold")
-    _leaf_alpha(g)  # the class check
-    if amask == bmask or ell <= 0:
-        return True
-    for m in (amask, bmask):
-        if m.bit_count() == ell and is_dominating(g, bits(m)):
-            return False
-    return True
+    ta, tb = leaf_ris_table(g, bits(amask)), leaf_ris_table(g, bits(bmask))
+    return amask == bmask or not (pinned(ta, ell) or pinned(tb, ell))
 
 
 def leaf_ris_table(g: Graph, i: Iterable[int]) -> list[int]:
     """Maximum reachable independent-set size per threshold, for a chordal leaf.
 
     Entry ``ell`` is the starting size when the start set is a dominating set
-    pinned at exactly ``ell`` tokens, and the graph's independence number
-    otherwise.  Index range is ``0..|i|``.
+    of exactly ``ell`` tokens, which ``pinned`` reads back, and the graph's
+    independence number otherwise.  Index range is ``0..|i|``.
     """
     imask = g.check_vertex_set(i)
     if not is_independent(g, bits(imask)):

@@ -4,7 +4,8 @@ Bottom-up: per-node tables of the maximum reachable independent-set size for
 every token lower bound, with the maximum stable tuple recorded at union
 nodes.  Top-down: minimum-occupancy (freedom) values, plus the blocked flags
 that mark the vertices a witness may not use.  The decision compares
-the freedom maps of the two input sets and checks leaf-level reachability.
+the freedom maps of the two input sets, then reads from each prime leaf's
+two tables whether either set is pinned there.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:
+            if tables[node.left].base and tables[node.right].base:
+                raise InputError("compute_ris_tables requires an independent set")
             tables[u] = ris_join(tables[node.left], tables[node.right])
         else:
             raise InternalError(f"unknown node kind {node.kind!r}")
@@ -164,7 +167,8 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
                  k: int) -> tuple[Decision, NodeValues]:
     """The verdict on the graph's cotree ``t``, with A's top-down values.
 
-    Requires independent sets and 0 <= k <= min(|A|, |B|).
+    Requires independent sets and 0 <= k <= min(|A|, |B|).  A leaf where A
+    and B differ fails if either set's table is pinned at its freedom.
     """
     ris_a = compute_ris_tables(t, bits(amask))
     ris_b = compute_ris_tables(t, bits(bmask))
@@ -173,11 +177,11 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
     for u in t.preorder():
         if vals_a.freedom[u] != vals_b.freedom[u]:
             return Decision(False, (u, FREEDOM_MISMATCH)), vals_a
+    diff = amask ^ bmask
     for u in t.leaves():
-        if t.nodes[u].is_trivial_leaf:
-            continue
-        la, lb = _leaf_local_ids(t, u, amask), _leaf_local_ids(t, u, bmask)
-        if not chordal.leaf_reachable(t.leaf_graph(u), la, lb, vals_a.freedom[u]):
+        if diff & t.nodes[u].vmask and (
+                chordal.pinned(ris_a[u].values, vals_a.freedom[u])
+                or chordal.pinned(ris_b[u].values, vals_a.freedom[u])):
             return Decision(False, (u, LEAF_UNREACHABLE)), vals_a
     return Decision(True), vals_a
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from isrecon import Graph, gen_cograph
+from isrecon import Graph, gen_cograph, is_dominating
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle
 
@@ -69,6 +69,25 @@ def sample_triples(g: Graph, count: int, seed: int):
         a = frozenset(v for v in range(g.n) if amask & (1 << v))
         b = frozenset(v for v in range(g.n) if bmask & (1 << v))
         out.append((a, b, rng.randint(0, min(len(a), len(b)))))
+    return out
+
+
+def maximal_sets(g: Graph) -> list[int]:
+    """The masks of the maximal independent sets of ``g``."""
+    return [m for m in get_oracle(g).sets if is_dominating(g, bits(m))]
+
+
+def maximal_pairs(g: Graph, count: int, seed: int):
+    """(A, B, |A|) for distinct maximal independent sets A and B of equal size."""
+    rng = random.Random(seed)
+    by_size: dict[int, list[int]] = {}
+    for m in maximal_sets(g):
+        by_size.setdefault(m.bit_count(), []).append(m)
+    groups = [ms for ms in by_size.values() if len(ms) > 1]
+    out = []
+    for _ in range(count if groups else 0):
+        a, b = (frozenset(bits(m)) for m in rng.sample(rng.choice(groups), 2))
+        out.append((a, b, len(a)))
     return out
 
 

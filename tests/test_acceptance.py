@@ -14,13 +14,13 @@ from isrecon import (Graph, build_maximal_cotree, build_witness, compute_freedom
                      compute_ris_tables, decide, gen_chordal, gen_cograph,
                      gen_composed, leaf_ris_table, tj_decide,
                      validate_tar_sequence)
-from isrecon.engine import RisTable, ris_union
+from isrecon.engine import LEAF_UNREACHABLE, RisTable, ris_union
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle, oracle_diameter, oracle_reach, oracle_ris_all
 from isrecon.witness import build_su_sequence
 
 from helpers import (cograph_corpus, connected_chordal, edgeless,
-                     greedy_independent_set, sample_triples)
+                     greedy_independent_set, maximal_pairs, sample_triples)
 
 CORPUS_SIZE = 500
 CORPUS_MAX_N = 12
@@ -239,7 +239,7 @@ def test_criterion_9_oracle_equivalence_prime_leaves(capsys):
     """Compositions of two chordal parts of 5-8 vertices, so that prime
     leaves larger than P4 occur, which criterion 3's parts cannot give."""
     rng = random.Random(4321)
-    cases = big_leaves = 0
+    cases = big_leaves = pinned_leaves = 0
     for seed in range(208):
         first = rng.randint(5, 8)
         g = gen_composed([first, rng.randint(5, 14 - first)],
@@ -247,13 +247,19 @@ def test_criterion_9_oracle_equivalence_prime_leaves(capsys):
         assert g.n <= 14
         t = build_maximal_cotree(g)
         big_leaves += sum(t.nodes[u].vmask.bit_count() >= 5 for u in t.leaves())
-        for a, b, k in sample_triples(g, 10, seed + 11000):
+        # equal-size maximal sets at k = their size are where leaves get pinned
+        for a, b, k in (sample_triples(g, 10, seed + 11000)
+                        + maximal_pairs(g, 10, seed + 12000)):
             cases += 1
-            assert decide(g, a, b, k).reachable == oracle_reach(g, a, b, k)[0], \
+            verdict = decide(g, a, b, k)
+            assert verdict.reachable == oracle_reach(g, a, b, k)[0], \
                 (seed, sorted(a), sorted(b), k)
-    ok = cases >= 1000 and big_leaves >= 100
+            pinned_leaves += verdict.failure_witness is not None \
+                and verdict.failure_witness[1] == LEAF_UNREACHABLE
+    ok = cases >= 1000 and big_leaves >= 100 and pinned_leaves >= 100
     _report(capsys, "criterion 9: composed oracle equivalence, prime leaves", ok,
-            f"{cases} cases, {big_leaves} prime leaves of 5+ vertices")
+            f"{cases} cases, {big_leaves} prime leaves of 5+ vertices, "
+            f"{pinned_leaves} leaf-unreachable cases")
 
 
 def test_criterion_10_prime_leaf_scaling(capsys):

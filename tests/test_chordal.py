@@ -4,6 +4,7 @@ from isrecon import (Graph, InputError, UnsupportedGraphClassError,
                      alpha_chordal, build_maximal_cotree, chordal, chordality,
                      decide, gen_composed, is_dominating, leaf_reachable,
                      leaf_ris_table)
+from isrecon.chordal import pinned
 
 from helpers import c4, complete, edgeless, p4
 
@@ -94,6 +95,18 @@ def test_leaf_ris_table():
     # a dominating set strictly smaller than alpha pins its own entry
     star_plus = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert leaf_ris_table(star_plus, [0]) == [3, 1]
+
+
+def test_pinned_reads_the_last_entry_at_the_base():
+    assert pinned([3, 1], 1)             # the star's center
+    assert not pinned([3, 1], 0)         # bound 0 pins nothing
+    assert pinned([2, 2, 2], 2)          # a maximum set at its own size
+    assert not pinned([3, 3, 2], 1)      # below the base
+    assert not pinned([3, 1], 2)         # above the base
+    assert not pinned([3, 3], 1)         # not dominating
+    assert pinned([1, 1], 1)             # a trivial leaf's table
+    assert not pinned([1], 0)
+    assert pinned(leaf_ris_table(complete(3), [0]), 1)
 
 
 def test_leaf_ris_table_rejects_non_chordal():

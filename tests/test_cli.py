@@ -220,6 +220,15 @@ def test_non_ascii_digit_in_graph_file_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr and "cannot read" in proc.stderr
 
 
+@pytest.mark.parametrize("n", ["1000000000000000", "100000000000000000000"])
+def test_huge_vertex_count_in_header_exits_2(tmp_path, capsys, n):
+    # the rows cannot be allocated (MemoryError) or sized (OverflowError)
+    f = tmp_path / "huge.g"
+    f.write_text(f"# more vertices than memory\n{n} 0\n")
+    assert main(["decide", str(f), "-", "-", "-k", "0"]) == 2
+    assert f"huge.g:2: n={n} is too large" in capsys.readouterr().err
+
+
 def test_fuzz_bad_size_or_count_exits_2():
     for flag in ("--size", "--count"):
         proc = run_cli("fuzz", flag, "-1")

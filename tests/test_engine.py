@@ -5,8 +5,8 @@ import random
 import pytest
 
 from isrecon import (Graph, InputError, InternalError, build_maximal_cotree,
-                     compute_freedom, compute_ris_tables, decide, ris_join,
-                     ris_union, tj_decide)
+                     build_su_sequence, compute_freedom, compute_ris_tables,
+                     decide, ris_join, ris_union, sequence_to_max, tj_decide)
 from isrecon.engine import FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD
 
 from helpers import c4, complete, edgeless, p3, p4, two_k2
@@ -51,6 +51,18 @@ def test_ris_join_carries_occupied_child():
 def test_ris_join_rejects_two_occupied_children():
     with pytest.raises(InternalError):
         ris_join(table(1, [1, 1]), table(1, [1, 1]))
+
+
+@pytest.mark.parametrize("g", [Graph.from_edges(3, [(0, 1), (1, 2)]), c4()])
+def test_dependent_set_is_an_input_error(g):
+    # 0 and 1 are adjacent, so the set meets both sides of a join node
+    t = build_maximal_cotree(g)
+    with pytest.raises(InputError, match="independent"):
+        compute_ris_tables(t, [0, 1])
+    with pytest.raises(InputError, match="independent"):
+        build_su_sequence(t, t.root, [0, 1])
+    with pytest.raises(InputError, match="independent"):
+        sequence_to_max(t, [0, 1], 1)
 
 
 def test_compute_ris_tables_c4():

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from isrecon import (Graph, alpha_chordal, bridge_max_sets, build_maximal_cotree,
                      build_witness, chordality, compute_freedom,
                      compute_ris_tables, decide, gen_chordal, gen_cograph,
-                     is_cograph, is_independent, realize, validate_tar_sequence)
+                     is_cograph, is_independent, leaf_reachable, realize,
+                     validate_tar_sequence)
 from isrecon.graph import bits, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph
+
+from helpers import maximal_sets
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -83,6 +86,20 @@ def test_alpha_chordal_matches_the_oracle(n, density, seed):
     alpha, witness = alpha_chordal(g, chordality(g))
     assert alpha == max(s.bit_count() for s in get_oracle(g).sets)
     assert len(witness) == alpha and is_independent(g, witness)
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=10),
+       st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(min_value=0, max_value=10 ** 6), st.data())
+def test_leaf_reachable_matches_the_oracle(n, density, seed, data):
+    g = gen_chordal(n, density, seed)
+    sets, maximal = get_oracle(g).sets, maximal_sets(g)
+    # maximal sets are dominating, so they are the ones that can be pinned
+    a, b = (vertex_set(data.draw(st.sampled_from(
+        maximal if data.draw(st.booleans()) else sets))) for _ in "ab")
+    ell = data.draw(st.integers(min_value=0, max_value=min(len(a), len(b))))
+    assert leaf_reachable(g, a, b, ell) == oracle_reach(g, a, b, ell)[0]
 
 
 @SETTINGS
