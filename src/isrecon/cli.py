@@ -14,7 +14,7 @@ import sys
 from . import engine, oracle as oraclemod, witness as witnessmod
 from .cotree import build_maximal_cotree
 from .errors import InputError, UnreachableError, UnsupportedGraphClassError
-from .graph import Graph, VertexSet, is_independent, vertex_set
+from .graph import Graph, is_independent, vertex_set
 
 EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
@@ -76,7 +76,7 @@ def load_graph(path: str) -> Graph:
     return Graph(n, adj)
 
 
-def parse_set(spec: str, n: int, what: str) -> VertexSet:
+def parse_set(spec: str, n: int, what: str) -> frozenset:
     """Comma-separated ids, `@file` with one id per line, or empty ('' / '-')."""
     tokens: list[tuple[str, str]] = []  # (location, token)
     if spec.startswith("@"):
@@ -99,7 +99,7 @@ def parse_set(spec: str, n: int, what: str) -> VertexSet:
 
 def parse_instance(graph_file: str, a_spec: str, b_spec: str, k: int,
                    model: str = oraclemod.TAR
-                   ) -> tuple[Graph, VertexSet, VertexSet, int]:
+                   ) -> tuple[Graph, frozenset, frozenset, int]:
     """The graph, sets A and B, and the TAR token bound (|A| - 1 under TJ)."""
     g = load_graph(graph_file)
     a = parse_set(a_spec, g.n, "set A")
@@ -114,7 +114,7 @@ def parse_instance(graph_file: str, a_spec: str, b_spec: str, k: int,
     return g, a, b, k
 
 
-def _setline(s: VertexSet) -> str:
+def _setline(s: frozenset) -> str:
     return "{" + ",".join(str(v) for v in sorted(s)) + "}"
 
 
@@ -180,7 +180,10 @@ def cmd_oracle(args) -> int:
     # the oracle's TJ model counts all |A| tokens, not the TAR bound |A| - 1
     if args.model == oraclemod.TJ:
         k = len(a)
-    ok, length = oraclemod.oracle_reach(g, a, b, k, args.model)
+    if k > min(len(a), len(b)):     # a set below k: unreachable, as decide says
+        ok, length = False, None
+    else:
+        ok, length = oraclemod.oracle_reach(g, a, b, k, args.model)
     if fast != ok:
         print(f"MISMATCH: engine={fast} oracle={ok}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -191,8 +194,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_fuzz(args) -> int:
     import random
-    if args.size < 1 or args.count < 0:
-        raise InputError("fuzz needs --size at least 1 and --count at least 0")
+    if not 1 <= args.size <= oraclemod.ORACLE_CAP or args.count < 0:
+        raise InputError(f"fuzz needs --size in 1..{oraclemod.ORACLE_CAP}, the "
+                         "oracle's cap, and --count at least 0")
     rng = random.Random(args.seed)
     total = args.count
     for case in range(total):

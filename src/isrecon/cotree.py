@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import InputError, InternalError
-from .graph import Graph, bits, vertex_set
+from .graph import Graph, bits
 
 UNION = "union"
 JOIN = "join"
@@ -40,9 +40,6 @@ class Cotree:
     graph: Graph
     nodes: list[CotreeNode] = field(default_factory=list)
     root: int = -1
-
-    def vertices(self, u: int) -> frozenset:
-        return vertex_set(self.nodes[u].vmask)
 
     def preorder(self, start: Optional[int] = None) -> Iterator[int]:
         """Parents before children, in the subtree of ``start`` (default: root).

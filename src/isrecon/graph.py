@@ -12,9 +12,6 @@ from typing import Iterable, Iterator
 
 from .errors import InputError
 
-VertexSet = frozenset
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex ids into a bitmask."""
     m = 0
@@ -31,7 +28,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def vertex_set(mask: int) -> VertexSet:
+def vertex_set(mask: int) -> frozenset:
     return frozenset(bits(mask))
 
 
@@ -86,19 +83,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] & (1 << v))
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        self._check_vertex(v)
-        return bits(self.adj[v])
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in bits(self.adj[u] >> (u + 1)):
@@ -106,10 +90,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise InputError(f"vertex id {v} out of range for n={self.n}")
 
     def check_vertex_set(self, s: Iterable[int]) -> int:
         """Validate a vertex set against this graph; return it as a bitmask."""

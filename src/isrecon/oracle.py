@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cotree import Cotree, build_maximal_cotree
 from .errors import InputError, OracleCapacityError
-from .graph import Graph, VertexSet, bits, is_independent, mask_of, vertex_set
+from .graph import Graph, bits, is_independent, mask_of, vertex_set
 
 TAR = "tar"
 TJ = "tj"
@@ -196,7 +196,7 @@ def oracle_ris_all(g_u: Graph, i: Iterable[int]) -> list[int]:
     return [max(j.bit_count() for j in fam) for fam in o.reachable_all(imask)]
 
 
-def oracle_accessible(g: Graph, a: Iterable[int], k: int) -> VertexSet:
+def oracle_accessible(g: Graph, a: Iterable[int], k: int) -> frozenset:
     """Union of all k-TAR-reachable sets."""
     o = get_oracle(g)
     amask = o.check_set(a)

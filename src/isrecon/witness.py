@@ -21,14 +21,14 @@ from .engine import (NodeValues, RisTable, _decide_tree, _independent_masks,
                      compute_ris_tables)
 from .errors import (InputError, InternalError, UnreachableError,
                      UnsupportedGraphClassError)
-from .graph import Graph, VertexSet, bits, is_independent, mask_of, vertex_set
+from .graph import Graph, bits, is_independent, mask_of, vertex_set
 
 
 @dataclass
 class TarSequence:
     """A start set and the single-token moves ('add'|'remove', v) that follow."""
 
-    start: VertexSet
+    start: frozenset
     steps: list[tuple[str, int]]
     k: int
     alpha_accessible: int = 0      # set by build_witness: alpha of G[accessible]
@@ -38,7 +38,7 @@ class TarSequence:
         return len(self.steps)
 
     @property
-    def sets(self) -> list[VertexSet]:
+    def sets(self) -> list[frozenset]:
         """Every set along the sequence, replayed from the moves."""
         cur = set(self.start)
         out = [frozenset(cur)]
@@ -95,11 +95,11 @@ class SuSequence:
     ``sets`` replays them on demand.
     """
 
-    start: VertexSet
+    start: frozenset
     steps: list[Step]
 
     @property
-    def sets(self) -> list[VertexSet]:
+    def sets(self) -> list[frozenset]:
         cur = self.start
         out = [cur]
         for removals, additions in self.steps:
@@ -204,7 +204,7 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
     return TarSequence(su.start, steps, k)
 
 
-def accessible_subgraph(t: Cotree, values_a: NodeValues) -> VertexSet:
+def accessible_subgraph(t: Cotree, values_a: NodeValues) -> frozenset:
     """All vertices that some reachable independent set contains.
 
     ``values_a`` is the top-down pass of a start set at its token bound.  A

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from isrecon import Graph, gen_cograph, is_dominating
+from isrecon import Graph, gen_cograph
+from isrecon.chordal import is_dominating
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle
 

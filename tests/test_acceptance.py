@@ -10,11 +10,12 @@ import math
 import random
 import time
 
-from isrecon import (Graph, build_maximal_cotree, build_witness, compute_freedom,
-                     compute_ris_tables, decide, gen_chordal, gen_cograph,
-                     gen_composed, leaf_ris_table, tj_decide,
-                     validate_tar_sequence)
-from isrecon.engine import LEAF_UNREACHABLE, RisTable, ris_union
+from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
+                     gen_composed, tj_decide, validate_tar_sequence)
+from isrecon.chordal import leaf_ris_table
+from isrecon.cotree import build_maximal_cotree
+from isrecon.engine import (LEAF_UNREACHABLE, RisTable, compute_freedom,
+                            compute_ris_tables, ris_union)
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle, oracle_diameter, oracle_reach, oracle_ris_all
 from isrecon.witness import build_su_sequence
@@ -215,9 +216,10 @@ def test_criterion_8_su_sequence_structure(capsys):
             nodes = list(t.preorder()) if first else [t.root]
             first = False
             for u in nodes:
-                su = build_su_sequence(t, u, a & t.vertices(u))
+                a_u = frozenset(bits(amask & t.nodes[u].vmask))
+                su = build_su_sequence(t, u, a_u)
                 csets = su.sets
-                assert csets[0] == a & t.vertices(u)                  # property 1
+                assert csets[0] == a_u                                # property 1
                 for i in range(len(csets) - 1):
                     assert len(csets[i + 1]) > len(csets[i])          # property 2
                 for j in range(len(csets) - 1):

@@ -1,10 +1,10 @@
 import pytest
 
-from isrecon import (Graph, InputError, UnsupportedGraphClassError,
-                     alpha_chordal, build_maximal_cotree, chordal, chordality,
-                     decide, gen_composed, is_dominating, leaf_reachable,
-                     leaf_ris_table)
-from isrecon.chordal import pinned
+from isrecon import (Graph, InputError, UnsupportedGraphClassError, chordal,
+                     decide, gen_composed)
+from isrecon.chordal import (alpha_chordal, chordality, is_dominating,
+                             leaf_reachable, leaf_ris_table, pinned)
+from isrecon.cotree import build_maximal_cotree
 
 from helpers import c4, complete, edgeless, p4
 

@@ -163,6 +163,14 @@ def test_oracle_command(c4_file, capsys):
     assert "length=4" in out
 
 
+def test_oracle_token_bound_above_a_set_is_unreachable(c4_file, capsys):
+    # k > |A|: decide answers from the set sizes, and oracle agrees
+    assert main(["decide", c4_file, "0", "1,3", "-k", "2"]) == 1
+    assert main(["oracle", c4_file, "0", "1,3", "-k", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "UNREACHABLE" and err == ""
+
+
 def test_oracle_command_tj_model(tmp_path, capsys):
     f = tmp_path / "2k2.g"
     f.write_text("4 2\n0 1\n2 3\n")
@@ -234,6 +242,13 @@ def test_fuzz_bad_size_or_count_exits_2():
         proc = run_cli("fuzz", flag, "-1")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and flag in proc.stderr
+
+
+def test_fuzz_size_above_the_oracle_cap_exits_2(capsys):
+    # every case goes through the oracle, so no draw may exceed its cap
+    assert main(["fuzz", "--count", "3", "--size", "21", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--size in 1..20" in err
 
 
 def test_non_chordal_prime_leaf_exits_3(tmp_path):

@@ -4,9 +4,8 @@ from operator import or_
 
 import pytest
 
-from isrecon import (Graph, InputError, build_maximal_cotree, gen_cograph,
-                     is_cograph, realize)
-from isrecon.cotree import JOIN, UNION
+from isrecon import Graph, InputError, gen_cograph, is_cograph
+from isrecon.cotree import JOIN, UNION, build_maximal_cotree, realize
 
 from helpers import c4, complete, cotree_depth, edgeless, p3, p4, two_k2
 
@@ -21,8 +20,7 @@ def test_c4_decomposes_as_join_of_two_pairs():
     t = build_maximal_cotree(c4())
     root = t.nodes[t.root]
     assert root.kind == JOIN
-    assert {frozenset(t.vertices(root.left)), frozenset(t.vertices(root.right))} \
-        == {frozenset({0, 2}), frozenset({1, 3})}
+    assert {t.nodes[root.left].vmask, t.nodes[root.right].vmask} == {0b0101, 0b1010}
     assert t.all_leaves_trivial()
 
 

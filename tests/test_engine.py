@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from isrecon import (Graph, InputError, InternalError, build_maximal_cotree,
-                     build_su_sequence, compute_freedom, compute_ris_tables,
-                     decide, ris_join, ris_union, sequence_to_max, tj_decide)
-from isrecon.engine import FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD
+from isrecon import Graph, InputError, InternalError, decide, tj_decide
+from isrecon.cotree import build_maximal_cotree
+from isrecon.engine import (FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD,
+                            compute_freedom, compute_ris_tables, ris_join,
+                            ris_union)
+from isrecon.witness import build_su_sequence, sequence_to_max
 
 from helpers import c4, complete, edgeless, p3, p4, two_k2
 
@@ -85,7 +87,7 @@ def test_compute_freedom_blocks_empty_join_side():
     tabs = compute_ris_tables(t, [0, 2])
     vals = compute_freedom(t, 1, tabs)
     root = t.nodes[t.root]
-    occupied = root.left if 0 in t.vertices(root.left) else root.right
+    occupied = root.left if t.nodes[root.left].vmask & 1 else root.right
     empty = root.right if occupied == root.left else root.left
     assert vals.freedom[t.root] == 1
     assert vals.freedom[occupied] == 1

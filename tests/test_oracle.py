@@ -2,12 +2,13 @@
 
 import pytest
 
-from isrecon import (Graph, InputError, OracleCapacityError, chordality,
-                     gen_chordal, gen_cograph, gen_composed, is_cograph,
-                     oracle_accessible, oracle_diameter, oracle_freedom,
-                     oracle_reach, oracle_ris)
+from isrecon import (Graph, InputError, OracleCapacityError, gen_chordal,
+                     gen_cograph, gen_composed, is_cograph, oracle_diameter,
+                     oracle_reach)
+from isrecon.chordal import chordality
 from isrecon.cotree import build_maximal_cotree
-from isrecon.oracle import ORACLE_CACHE_SIZE, get_oracle, solution_graph
+from isrecon.oracle import (ORACLE_CACHE_SIZE, get_oracle, oracle_accessible,
+                            oracle_freedom, oracle_ris, solution_graph)
 
 from helpers import c4, complete, edgeless, two_k2
 

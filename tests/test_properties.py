@@ -6,14 +6,14 @@ import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isrecon import (Graph, alpha_chordal, bridge_max_sets, build_maximal_cotree,
-                     build_witness, chordality, compute_freedom,
-                     compute_ris_tables, decide, gen_chordal, gen_cograph,
-                     is_cograph, is_independent, leaf_reachable, realize,
-                     validate_tar_sequence)
-from isrecon.graph import bits, vertex_set
+from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
+                     is_cograph, validate_tar_sequence)
+from isrecon.chordal import alpha_chordal, chordality, leaf_reachable
+from isrecon.cotree import build_maximal_cotree, realize
+from isrecon.engine import compute_freedom, compute_ris_tables
+from isrecon.graph import bits, is_independent, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
-from isrecon.witness import accessible_subgraph
+from isrecon.witness import accessible_subgraph, bridge_max_sets
 
 from helpers import maximal_sets
 
@@ -71,10 +71,10 @@ def test_perfect_ordering_meets_the_definition(g):
         return
     pos = {v: i for i, v in enumerate(peo.order)}
     for v in range(g.n):
-        later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
+        later = [w for w in bits(g.adj[v]) if pos[w] > pos[v]]
         for i, x in enumerate(later):
             for y in later[i + 1:]:
-                assert g.has_edge(x, y), (v, x, y)
+                assert g.adj[x] >> y & 1, (v, x, y)
 
 
 @SETTINGS
@@ -105,15 +105,17 @@ def test_leaf_reachable_matches_the_oracle(n, density, seed, data):
 @SETTINGS
 @given(small_graphs())
 def test_cograph_means_p4_free(g):
+    def edge(u, v):
+        return g.adj[u] >> v & 1
+
     has_p4 = False
     quads = [(a, b, c, d)
              for a in range(g.n) for b in range(g.n)
              for c in range(g.n) for d in range(g.n)
              if len({a, b, c, d}) == 4]
     for a, b, c, d in quads:
-        if (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
-                and not g.has_edge(a, c) and not g.has_edge(a, d)
-                and not g.has_edge(b, d)):
+        if (edge(a, b) and edge(b, c) and edge(c, d)
+                and not edge(a, c) and not edge(a, d) and not edge(b, d)):
             has_p4 = True
             break
     assert is_cograph(g) == (not has_p4)

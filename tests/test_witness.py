@@ -8,13 +8,12 @@ import isrecon.cotree
 import isrecon.engine
 import isrecon.witness
 from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
-                     accessible_subgraph, bridge_max_sets, build_maximal_cotree,
-                     build_su_sequence, build_witness, compute_freedom,
-                     compute_ris_tables, decide, gen_cograph, realize,
-                     sequence_to_max, validate_tar_sequence)
-from isrecon.cotree import restrict
+                     build_witness, decide, gen_cograph, validate_tar_sequence)
+from isrecon.cotree import build_maximal_cotree, realize, restrict
+from isrecon.engine import compute_freedom, compute_ris_tables
 from isrecon.graph import mask_of
-from isrecon.witness import TarSequence
+from isrecon.witness import (TarSequence, accessible_subgraph, bridge_max_sets,
+                             build_su_sequence, sequence_to_max)
 
 from helpers import (alternating_threshold, c4, cotree_depth, edgeless,
                      greedy_independent_set, p3, p4, sample_triples, two_k2)
