@@ -1,17 +1,18 @@
 """Generalized cotrees: recursive union/join factorization of a graph.
 
 A graph is split as long as it or its complement is disconnected; the
-remaining pieces (indecomposable graphs) become leaf graphs.  A graph whose
-maximal decomposition has only single-vertex leaves is a cograph.
+remaining prime (indecomposable) pieces become leaf graphs.  Union and join
+alternate along every path of this maximal tree (Corneil, Lerchs and Stewart
+Burlingham 1981).  A graph with only single-vertex leaves is a cograph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, InternalError
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 
 UNION = "union"
 JOIN = "join"
@@ -24,7 +25,7 @@ class CotreeNode:
     vmask: int              # vertex set V_u as a bitmask in root-graph ids
     left: int = -1
     right: int = -1
-    leaf_graph: Optional[Graph] = None  # only for leaves, built on first access
+    leaf_graph: Optional[Graph] = None  # set on prime leaves only
 
     @property
     def is_leaf(self) -> bool:
@@ -65,14 +66,12 @@ class Cotree:
     def leaves(self) -> Iterator[int]:
         return (u for u in self.preorder() if self.nodes[u].is_leaf)
 
-    def leaf_graph(self, u: int) -> Graph:
-        """The induced graph of a leaf, materialized on first access."""
-        node = self.nodes[u]
-        if not node.is_leaf:
-            raise InternalError(f"node {u} is not a leaf")
-        if node.leaf_graph is None:
-            node.leaf_graph = self.graph.induced(bits(node.vmask))
-        return node.leaf_graph
+    def check_vertex_set(self, s: Iterable[int]) -> int:
+        """Validate a vertex set against this tree's vertices; return its mask."""
+        m = self.graph.check_vertex_set(s)
+        if m & ~self.nodes[self.root].vmask:
+            raise InputError("the set has vertices outside the cotree")
+        return m
 
     def all_leaves_trivial(self) -> bool:
         return all(self.nodes[u].is_trivial_leaf for u in self.leaves())
@@ -119,10 +118,11 @@ def _components(adj, mask: int, flip: int) -> list[int]:
 def build_maximal_cotree(g: Graph) -> Cotree:
     """Factor ``g`` by union/join splits until every piece is indecomposable.
 
-    Disconnectedness is tested before complement-disconnectedness, and a
-    k-way split is folded into a balanced binary tree of depth ceil(log2 k)
-    by pairing neighbouring parts, ordered by their smallest vertex, so the
-    result is deterministic.
+    The root is searched for components, then co-components; a union part
+    only for co-components, a join part only for components.  A part kept
+    whole is a prime leaf, and its induced graph is built here.  A k-way
+    split is folded into a balanced binary tree of depth ceil(log2 k) by
+    pairing neighbouring parts, ordered by their smallest vertex.
     """
     if g.n < 1:
         raise InputError("cotree construction needs at least one vertex")
@@ -134,23 +134,24 @@ def build_maximal_cotree(g: Graph) -> Cotree:
         return len(nodes) - 1
 
     t.root = new_node(LEAF, g.full_mask)
-    pending = [t.root]
+    pending = [(t.root, None)]  # (node, kind of the split that made it)
     while pending:
-        u = pending.pop()
+        u, made_by = pending.pop()
         mask = nodes[u].vmask
         if mask.bit_count() == 1:
             continue  # trivial leaf
-        parts = _components(g.adj, mask, 0)
-        kind = UNION
-        if len(parts) == 1:
-            parts = _components(g.adj, mask, mask)
-            kind = JOIN
-        if len(parts) == 1:
-            continue  # indecomposable leaf; graph materialized lazily
+        for kind, flip in ((UNION, 0), (JOIN, mask)):
+            if kind != made_by:  # a union part is connected, a join part co-connected
+                parts = _components(g.adj, mask, flip)
+                if len(parts) > 1:
+                    break
+        else:
+            nodes[u].leaf_graph = g.induced(bits(mask))  # prime leaf
+            continue
         # Pair neighbouring parts level by level, carrying an odd last part
         # up, so the split has depth ceil(log2 k); u takes the last two.
         level = [new_node(LEAF, p) for p in parts]
-        pending.extend(level)
+        pending.extend((p, kind) for p in level)
         while len(level) > 2:
             paired = []
             for a, b in zip(level[::2], level[1::2]):
@@ -198,12 +199,10 @@ def realize(t: Cotree) -> Graph:
     adj = [0] * n
     for u in t.postorder():
         node = t.nodes[u]
-        if node.is_leaf:
-            if node.vmask.bit_count() > 1:
-                ids = list(bits(node.vmask))  # leaf-graph id -> root-graph id
-                for a, b in t.leaf_graph(u).edges():
-                    adj[ids[a]] |= 1 << ids[b]
-                    adj[ids[b]] |= 1 << ids[a]
+        if node.leaf_graph is not None:
+            ids = list(bits(node.vmask))  # leaf-graph id -> root-graph id
+            for a, row in enumerate(node.leaf_graph.adj):
+                adj[ids[a]] |= mask_of(ids[b] for b in bits(row))
         elif node.kind == JOIN:
             lm = t.nodes[node.left].vmask
             rm = t.nodes[node.right].vmask
@@ -211,7 +210,7 @@ def realize(t: Cotree) -> Graph:
                 adj[v] |= rm
             for v in bits(rm):
                 adj[v] |= lm
-        elif node.kind != UNION:
+        elif node.kind not in (UNION, LEAF):
             raise InternalError(f"malformed cotree node kind {node.kind!r}")
     return Graph(n, adj, origin=t.graph.origin)
 

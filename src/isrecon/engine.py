@@ -101,7 +101,7 @@ def _leaf_local_ids(t: Cotree, u: int, mask: int) -> list[int]:
 
 def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
     """Bottom-up pass: one table per cotree node for start set ``i``."""
-    imask = t.graph.check_vertex_set(i)
+    imask = t.check_vertex_set(i)
     tables: dict[int, RisTable] = {}
     for u in t.postorder():
         node = t.nodes[u]
@@ -110,7 +110,7 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
             if node.is_trivial_leaf:
                 tables[u] = RisTable(base=base, values=[1] * (base + 1))
             else:
-                values = chordal.leaf_ris_table(t.leaf_graph(u),
+                values = chordal.leaf_ris_table(node.leaf_graph,
                                                 _leaf_local_ids(t, u, imask))
                 tables[u] = RisTable(base=base, values=values)
         elif node.kind == UNION:

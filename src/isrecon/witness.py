@@ -232,8 +232,8 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
     set's side and adds the second's.  The length is exactly the symmetric
     difference of the two sets.
     """
-    amask = t.graph.check_vertex_set(a_max)
-    bmask = t.graph.check_vertex_set(b_max)
+    amask = t.check_vertex_set(a_max)
+    bmask = t.check_vertex_set(b_max)
     if not t.all_leaves_trivial():
         raise UnsupportedGraphClassError(
             "witness construction requires single-vertex leaves")

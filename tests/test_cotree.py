@@ -4,7 +4,8 @@ from operator import or_
 
 import pytest
 
-from isrecon import Graph, InputError, gen_cograph, is_cograph
+import isrecon.cotree
+from isrecon import Graph, InputError, gen_cograph, gen_composed, is_cograph
 from isrecon.cotree import JOIN, UNION, build_maximal_cotree, realize
 
 from helpers import c4, complete, cotree_depth, edgeless, p3, p4, two_k2
@@ -72,14 +73,51 @@ def test_cotree_rejects_empty_graph():
 
 
 def test_vmasks_partition_at_every_internal_node():
-    t = build_maximal_cotree(two_k2())
-    for u in t.preorder():
-        node = t.nodes[u]
-        if not node.is_leaf:
-            lm = t.nodes[node.left].vmask
-            rm = t.nodes[node.right].vmask
-            assert lm & rm == 0
-            assert lm | rm == node.vmask
+    graphs = [two_k2()] + [gen_cograph(n, seed)[0] for n, seed in
+                           ((9, 1), (40, 2), (120, 3))]
+    graphs += [gen_composed(parts, 0.5, seed) for parts, seed in
+               (([6], 1), ([5, 7], 2), ([4, 6, 5], 3), ([3, 8, 4, 6], 4))]
+    for g in graphs:
+        t = build_maximal_cotree(g)
+        for u in t.preorder():
+            node = t.nodes[u]
+            if not node.is_leaf:
+                lm = t.nodes[node.left].vmask
+                rm = t.nodes[node.right].vmask
+                assert lm & rm == 0
+                assert lm | rm == node.vmask
+        assert t.nodes[t.root].vmask == g.full_mask
+
+
+def test_one_search_per_examined_vertex_set(monkeypatch):
+    calls = []
+    components = isrecon.cotree._components
+
+    def counted(adj, mask, flip):
+        calls.append(mask)
+        return components(adj, mask, flip)
+
+    monkeypatch.setattr(isrecon.cotree, "_components", counted)
+    build_maximal_cotree(two_k2())      # root, then each K2's complement
+    assert len(calls) == 3
+    calls.clear()
+    build_maximal_cotree(complete(5))   # the connected root gets both
+    assert len(calls) == 2
+    for n, seed in ((2, 0), (30, 1), (60, 2), (150, 3), (300, 4)):
+        g = gen_cograph(n, seed)[0]
+        calls.clear()
+        t = build_maximal_cotree(g)
+        # a split part is a node whose kind differs from its parent's (the
+        # nodes that fold a split share its kind); trivial leaves get none
+        parts = 0
+        for node in t.nodes:
+            if not node.is_leaf:
+                for child in (t.nodes[node.left], t.nodes[node.right]):
+                    if child.kind != node.kind and child.vmask.bit_count() > 1:
+                        parts += 1
+        connected = t.nodes[t.root].kind == JOIN
+        assert len(calls) == parts + 1 + connected
+        assert len(set(calls)) == parts + 1  # only the root searched twice
 
 
 def test_preorder_postorder_cover_all_nodes():

@@ -53,7 +53,18 @@ def to_nx(g: Graph) -> nx.Graph:
 @SETTINGS
 @given(small_graphs())
 def test_realize_round_trips_every_graph(g):
-    assert realize(build_maximal_cotree(g)) == g
+    t = build_maximal_cotree(g)
+    # maximality: exactly the leaves of two or more vertices carry a graph,
+    # built by the factorization, and each is connected and co-connected,
+    # so no split was missed
+    for node in t.nodes:
+        if node.is_leaf and node.vmask.bit_count() > 1:
+            assert node.leaf_graph == g.induced(bits(node.vmask))
+            h = to_nx(node.leaf_graph)
+            assert nx.is_connected(h) and nx.is_connected(nx.complement(h))
+        else:
+            assert node.leaf_graph is None
+    assert realize(t) == g
 
 
 @SETTINGS

@@ -137,6 +137,23 @@ def test_bridge_rejects_non_maximum_sets():
         bridge_max_sets(t, [0], [1, 3], 0)
 
 
+def test_sets_outside_a_restricted_tree_are_rejected():
+    # the tree of 2K2 pruned to the edge {0, 1}: vertex 2 is in the graph
+    # but not in the tree, so no climb or bridge may drop or keep it
+    r = restrict(build_maximal_cotree(two_k2()), 0b0011)
+    with pytest.raises(InputError):
+        sequence_to_max(r, [0, 2], 1)
+    with pytest.raises(InputError):
+        build_su_sequence(r, r.root, [2])
+    with pytest.raises(InputError):
+        bridge_max_sets(r, [2], [0], 0)
+    with pytest.raises(InputError):
+        bridge_max_sets(r, [0], [2], 0)
+    with pytest.raises(InputError):
+        compute_ris_tables(r, [2])
+    assert sequence_to_max(r, [0], 1).sets == [frozenset({0})]
+
+
 def test_build_witness_p3():
     g = p3()
     seq = build_witness(g, [0], [1], 1)
