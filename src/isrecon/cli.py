@@ -8,6 +8,7 @@ class, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -23,13 +24,21 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
-def _read_lines(path: str, what: str) -> list[tuple[int, str]]:
-    """The numbered non-blank lines of a file, with `#` comments cut."""
+def _read_bytes(path: str, what: str) -> bytes:
     try:
-        with open(path) as fh:
-            rows = [(no, line.split("#", 1)[0].strip())
-                    for no, line in enumerate(fh, start=1)]
-    except (OSError, UnicodeDecodeError) as e:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read {what} file {path}: {e}") from e
+
+
+def _lines(data: bytes, path: str, what: str) -> list[tuple[int, str]]:
+    """The numbered non-blank lines of a file's bytes, with `#` comments cut."""
+    # decoded as open(path) would decode the file, so that errors read the same
+    try:
+        rows = [(no, line.split("#", 1)[0].strip()) for no, line
+                in enumerate(io.TextIOWrapper(io.BytesIO(data)), start=1)]
+    except UnicodeDecodeError as e:
         raise InputError(f"cannot read {what} file {path}: {e}") from e
     return [(no, line) for no, line in rows if line]
 
@@ -40,8 +49,51 @@ def _is_int(token: str) -> bool:
 
 
 def load_graph(path: str) -> Graph:
-    """Read the `n m` + edge-list format, warning on duplicate edges."""
-    rows = _read_lines(path, "graph")
+    """Read the `n m` + edge-list format, warning on duplicate edges.
+
+    A file in plain form (an `n m` header, then `u v` lines of ASCII digits
+    with one space inside and a newline after every line) is read in one
+    packed pass.  Any other file, and a plain one the packed pass rejects,
+    goes to the validating loop, which gives the same graph or the
+    line-numbered error and warnings.
+    """
+    data = _read_bytes(path, "graph")
+    g = _packed_graph(data)
+    return g if g is not None else _validated_graph(data, path)
+
+
+def _packed_graph(data: bytes) -> Graph | None:
+    """The graph of a plain file, or None if any check fails.
+
+    The form checks and the id range run in C, before any row is
+    allocated; the degree sum is 2m unless an edge repeats or is a loop.
+    """
+    toks = data.split()
+    if len(toks) < 2 or not (toks[0].isdigit() and toks[1].isdigit()):
+        return None
+    m = int(toks[1])
+    if (len(toks) != 2 * m + 2
+            or data.translate(None, b"0123456789") != b" \n" * (m + 1)):
+        return None
+    n, _, *ids = map(int, toks)
+    if max(ids, default=-1) >= n:
+        return None
+    try:
+        adj = [0] * n
+        it = iter(ids)
+        for u, v in zip(it, it):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    except (MemoryError, OverflowError):
+        return None
+    if sum(map(int.bit_count, adj)) != 2 * m:
+        return None
+    return Graph(n, adj)
+
+
+def _validated_graph(data: bytes, path: str) -> Graph:
+    """Parse a graph file line by line, naming the line of each error."""
+    rows = _lines(data, path, "graph")
     if not rows:
         raise InputError(f"{path}: empty graph file")
     no, header = rows[0]
@@ -81,7 +133,8 @@ def parse_set(spec: str, n: int, what: str) -> frozenset:
     tokens: list[tuple[str, str]] = []  # (location, token)
     if spec.startswith("@"):
         path = spec[1:]
-        tokens = [(f"{path}:{no}", tok) for no, tok in _read_lines(path, "set")]
+        tokens = [(f"{path}:{no}", tok)
+                  for no, tok in _lines(_read_bytes(path, "set"), path, "set")]
     elif spec not in ("", "-"):
         tokens = [(what, tok.strip()) for tok in spec.split(",")]
     out = set()

@@ -120,9 +120,10 @@ def build_maximal_cotree(g: Graph) -> Cotree:
 
     The root is searched for components, then co-components; a union part
     only for co-components, a join part only for components.  A part kept
-    whole is a prime leaf, and its induced graph is built here.  A k-way
-    split is folded into a balanced binary tree of depth ceil(log2 k) by
-    pairing neighbouring parts, ordered by their smallest vertex.
+    whole is a prime leaf, and its induced graph is built here; a prime
+    root keeps ``g`` itself.  A k-way split is folded into a balanced
+    binary tree of depth ceil(log2 k) by pairing neighbouring parts,
+    ordered by their smallest vertex.
     """
     if g.n < 1:
         raise InputError("cotree construction needs at least one vertex")
@@ -146,7 +147,8 @@ def build_maximal_cotree(g: Graph) -> Cotree:
                 if len(parts) > 1:
                     break
         else:
-            nodes[u].leaf_graph = g.induced(bits(mask))  # prime leaf
+            # prime leaf; a prime root is the graph itself
+            nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(bits(mask))
             continue
         # Pair neighbouring parts level by level, carrying an odd last part
         # up, so the split has depth ceil(log2 k); u takes the last two.

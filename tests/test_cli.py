@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isrecon import engine
+from isrecon import Graph, cli, engine
 from isrecon.cli import main, parse_instance, parse_set
 from isrecon.errors import InputError
 
@@ -230,11 +230,22 @@ def test_non_ascii_digit_in_graph_file_exits_2(tmp_path):
 
 @pytest.mark.parametrize("n", ["1000000000000000", "100000000000000000000"])
 def test_huge_vertex_count_in_header_exits_2(tmp_path, capsys, n):
-    # the rows cannot be allocated (MemoryError) or sized (OverflowError)
+    # the rows cannot be allocated (MemoryError) or sized (OverflowError);
+    # without the comment the file is plain and the packed pass tries first
     f = tmp_path / "huge.g"
-    f.write_text(f"# more vertices than memory\n{n} 0\n")
+    for text, line in ((f"# more vertices than memory\n{n} 0\n", 2), (f"{n} 0\n", 1)):
+        f.write_text(text)
+        assert main(["decide", str(f), "-", "-", "-k", "0"]) == 2
+        assert f"huge.g:{line}: n={n} is too large" in capsys.readouterr().err
+
+
+def test_huge_edge_count_in_header_exits_2(tmp_path, capsys):
+    # the packed pass must not build a form pattern m lines long
+    f = tmp_path / "many.g"
+    f.write_text("3 100000000000000000000\n")
     assert main(["decide", str(f), "-", "-", "-k", "0"]) == 2
-    assert f"huge.g:2: n={n} is too large" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "declares 100000000000000000000 edges but 0 lines follow" in err
 
 
 def test_fuzz_bad_size_or_count_exits_2():
@@ -294,9 +305,14 @@ def graph_files(draw) -> bytes:
     n = draw(st.integers(min_value=0, max_value=7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
-    if draw(st.booleans()):
-        return "\n".join(lines).encode()
+    edges = [f"{u} {v}" for u, v in edges]
+    plain = draw(st.booleans())
+    if plain and draw(st.booleans()):
+        # an extra line of ids may repeat an edge, be a self-loop or leave the range
+        edges.insert(draw(st.integers(0, len(edges))), f"{draw(IDS)} {draw(IDS)}")
+    lines = [f"{n} {len(edges)}"] + edges
+    if plain:  # with or without the final newline
+        return ("\n".join(lines) + draw(st.sampled_from(["", "\n"]))).encode()
     at = draw(st.integers(min_value=0, max_value=len(lines)))
     lines[at:at + draw(st.integers(0, 1))] = [draw(JUNK_LINES)]
     return "\n".join(lines).encode() + draw(st.binary(max_size=4))
@@ -335,3 +351,64 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+def _load(fn, *args):
+    """A graph or an InputError's text, and what went to stderr."""
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            out = fn(*args)
+        except InputError as e:
+            out = str(e)
+    return out, err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_packed_reader_matches_the_validating_loop(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "same.g"
+    raw = data.draw(graph_files())
+    path.write_bytes(raw)
+    assert _load(cli.load_graph, str(path)) == \
+        _load(cli._validated_graph, raw, str(path))
+
+
+@st.composite
+def plain_files(draw) -> tuple[bytes, Graph]:
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          unique_by=lambda e: frozenset(e), max_size=60))
+    text = "".join(f"{line}\n" for line in
+                   [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])
+    return text.encode(), Graph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plain_files_skip_the_validating_loop(tmp_path_factory, data):
+    def fail(*args):
+        raise AssertionError("plain file sent to the validating loop")
+
+    path = tmp_path_factory.getbasetemp() / "plain.g"
+    raw, g = data.draw(plain_files())
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_validated_graph", fail)
+        assert cli.load_graph(str(path)) == g
+
+
+def test_graph_file_is_read_once(tmp_path, monkeypatch):
+    # a file the packed pass rejects is parsed from the same bytes, so a
+    # pipe such as <(cmd) reads the same with or without a comment
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    f = tmp_path / "commented.g"
+    f.write_text("# a path\n3 2\n0 1\n1 2\n")
+    assert cli.load_graph(str(f)) == Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert opened == [str(f)]

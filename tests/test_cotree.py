@@ -40,6 +40,18 @@ def test_p4_is_an_indecomposable_leaf():
     assert not is_cograph(p4())
 
 
+def test_prime_root_keeps_the_graph_itself():
+    # no induced copy when the prime leaf is the whole graph
+    g = p4()
+    t = build_maximal_cotree(g)
+    assert t.nodes[t.root].leaf_graph is g
+    # a prime leaf below the root still gets its own induced graph
+    h = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)])
+    t = build_maximal_cotree(h)
+    (leaf,) = [x for x in t.nodes if x.leaf_graph is not None]
+    assert leaf.leaf_graph.adj == g.adj and leaf.leaf_graph.origin == (0, 1, 2, 3)
+
+
 def test_multiway_split_folds_balanced():
     for make, kind in ((edgeless, UNION), (complete, JOIN)):
         for k in range(2, 34):
