@@ -219,8 +219,9 @@ def cmd_tables(args) -> int:
     print(t.dump())
     for u in t.preorder():
         tab = ris[u]
+        blocked = not t.nodes[u].vmask & ~vals.blocked
         line = (f"node {u}: base={tab.base} values={tab.values} "
-                f"freedom={vals.freedom[u]} blocked={vals.blocked[u]}")
+                f"freedom={vals.freedom[u]} blocked={blocked}")
         if tab.tuples is not None:
             line += f" tuples={tab.tuples}"
         print(line)

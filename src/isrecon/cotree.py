@@ -38,9 +38,18 @@ class CotreeNode:
 
 @dataclass
 class Cotree:
+    """A factorization of ``graph``; nodes are indexed by their id.
+
+    ``_alpha`` holds the independence number of every node's subtree, which
+    the engine fills on the tree's first table pass; the tree is not changed
+    after it is built, so the list cannot go stale.
+    """
+
     graph: Graph
     nodes: list[CotreeNode] = field(default_factory=list)
     root: int = -1
+    _alpha: Optional[list[int]] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def preorder(self, start: Optional[int] = None) -> Iterator[int]:
         """Parents before children, in the subtree of ``start`` (default: root).

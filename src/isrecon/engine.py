@@ -1,11 +1,14 @@
 """Two-pass dynamic program over the cotree and the reachability decision.
 
-Bottom-up: per-node tables of the maximum reachable independent-set size for
-every token lower bound, with the maximum stable tuple recorded at union
-nodes.  Top-down: minimum-occupancy (freedom) values, plus the blocked flags
-that mark the vertices a witness may not use.  The decision compares
-the freedom maps of the two input sets, then reads from each prime leaf's
-two tables whether either set is pinned there.
+A set's passes visit only its footprint: the nodes whose vertex set meets
+it (and the root).  A subtree the set misses needs no work: its table is
+its independence number alpha, which each tree computes once, at its first
+pass, and its freedom is 0.  Bottom-up: per-node tables of the maximum reachable
+independent-set size for every token lower bound, with the maximum stable
+tuple recorded at union nodes.  Top-down: minimum-occupancy (freedom)
+values, plus the mask of the vertices a witness may not use.  The decision
+compares the freedoms of the two input sets, then reads from each prime
+leaf's two tables whether either set is pinned there.
 """
 
 from __future__ import annotations
@@ -38,10 +41,33 @@ class RisTable:
 
 @dataclass
 class NodeValues:
-    """Top-down results: freedom and blocked flag per node."""
+    """Top-down results: freedom per node id, and the blocked vertices.
 
-    freedom: dict[int, int]
-    blocked: dict[int, bool]
+    ``blocked`` is the union of the empty sides of the joins whose freedom
+    is at least 1; a node is blocked exactly when its vertex set lies
+    inside this mask.
+    """
+
+    freedom: list[int]
+    blocked: int
+
+
+class _Tables(dict):
+    """The tables of one set, keyed by node; only its footprint is stored.
+
+    A node the set misses reads as ``RisTable(0, [alpha])``, with
+    ``tuples == [(0, 0)]`` at a union: the table a whole-tree pass builds
+    there.  It is made again on each read and never stored.
+    """
+
+    def __init__(self, t: Cotree, alpha: list[int]):
+        super().__init__()
+        self._t = t
+        self._alpha = alpha
+
+    def __missing__(self, u: int) -> RisTable:
+        union = self._t.nodes[u].kind == UNION
+        return RisTable(0, [self._alpha[u]], [(0, 0)] if union else None)
 
 
 @dataclass
@@ -99,12 +125,61 @@ def _leaf_local_ids(t: Cotree, u: int, mask: int) -> list[int]:
     return [(vmask & ((1 << v) - 1)).bit_count() for v in bits(mask & vmask)]
 
 
+def subtree_alpha(t: Cotree) -> list[int]:
+    """The independence number of every node's subtree, by node id.
+
+    Computed once per tree, in one postorder pass: 1 at a trivial leaf, the
+    sum at a union, the larger child at a join, and the leaf table's entry
+    0 at a prime leaf.  Raises UnsupportedGraphClassError if any prime leaf
+    is not chordal.
+    """
+    if t._alpha is None:
+        nodes = t.nodes
+        alpha = [1] * len(nodes)
+        for u in t.postorder():
+            node = nodes[u]
+            if node.kind == UNION:
+                alpha[u] = alpha[node.left] + alpha[node.right]
+            elif node.kind == JOIN:
+                alpha[u] = max(alpha[node.left], alpha[node.right])
+            elif node.leaf_graph is not None:
+                alpha[u] = chordal.leaf_ris_table(node.leaf_graph, ())[0]
+        t._alpha = alpha
+    return t._alpha
+
+
+def _footprint(t: Cotree, mask: int) -> list[int]:
+    """The root and every node whose vertex set meets ``mask``, in preorder."""
+    nodes = t.nodes
+    order = []
+    stack = [t.root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        node = nodes[u]
+        if node.kind != LEAF:
+            if nodes[node.right].vmask & mask:
+                stack.append(node.right)
+            if nodes[node.left].vmask & mask:
+                stack.append(node.left)
+    return order
+
+
 def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
-    """Bottom-up pass: one table per cotree node for start set ``i``."""
+    """Bottom-up pass: the table of every cotree node for start set ``i``.
+
+    Only the footprint of ``i`` (the root and the nodes that meet ``i``) is
+    built and stored; any other node reads as ``RisTable(0, [alpha])``, with
+    ``tuples == [(0, 0)]`` at a union.  Errors come in a fixed order: a
+    vertex outside the tree (InputError), then a prime leaf anywhere in the
+    tree that is not chordal (UnsupportedGraphClassError), then a dependent
+    ``i`` (InputError).
+    """
     imask = t.check_vertex_set(i)
-    tables: dict[int, RisTable] = {}
-    for u in t.postorder():
-        node = t.nodes[u]
+    tables = _Tables(t, subtree_alpha(t))
+    nodes = t.nodes
+    for u in reversed(_footprint(t, imask)):
+        node = nodes[u]
         if node.kind == LEAF:
             base = (imask & node.vmask).bit_count()
             if node.is_trivial_leaf:
@@ -116,7 +191,7 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:
-            if tables[node.left].base and tables[node.right].base:
+            if imask & nodes[node.left].vmask and imask & nodes[node.right].vmask:
                 raise InputError("compute_ris_tables requires an independent set")
             tables[u] = ris_join(tables[node.left], tables[node.right])
         else:
@@ -128,30 +203,35 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
     """Top-down pass over the set's tables ``ris``, for 0 <= k <= its size.
 
     The set is read only through ``ris``: a join's occupied child is the one
-    whose table base is positive, or the left child when neither is.
+    whose table base is positive.  Only the nodes of positive freedom are
+    visited, and they are all occupied: below a node of freedom 0 every
+    freedom is 0 and no join blocks its empty side.
     """
     if not 0 <= k <= ris[t.root].base:
         raise InputError(f"token bound k={k} is outside 0..{ris[t.root].base}, "
                          "the size of the set")
-    freedom: dict[int, int] = {t.root: k}
-    blocked: dict[int, bool] = {t.root: False}
-    for u in t.preorder():
-        node = t.nodes[u]
-        if node.is_leaf:
-            continue
-        f = freedom[u]
-        blk = blocked[u]
+    nodes = t.nodes
+    freedom = [0] * len(nodes)
+    freedom[t.root] = k
+    blocked = 0
+    stack = [t.root] if k else []
+    while stack:
+        u = stack.pop()
+        node = nodes[u]
         if node.kind == JOIN:
             occ, emp = node.left, node.right
             if ris[emp].base > 0:
                 occ, emp = emp, occ
-            freedom[occ], freedom[emp] = f, 0
-            blocked[occ] = blk
-            blocked[emp] = blk or f >= 1
-        else:  # union
-            x, y = ris[u].tuples[f]
+            freedom[occ] = freedom[u]
+            blocked |= nodes[emp].vmask
+            stack.append(occ)
+        elif node.kind == UNION:
+            x, y = ris[u].tuples[freedom[u]]
             freedom[node.left], freedom[node.right] = x, y
-            blocked[node.left] = blocked[node.right] = blk
+            if x:
+                stack.append(node.left)
+            if y:
+                stack.append(node.right)
     return NodeValues(freedom=freedom, blocked=blocked)
 
 
@@ -168,18 +248,22 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
     """The verdict on the graph's cotree ``t``, with A's top-down values.
 
     Requires independent sets and 0 <= k <= min(|A|, |B|).  A leaf where A
-    and B differ fails if either set's table is pinned at its freedom.
+    and B differ fails if either set's table is pinned at its freedom.  Both
+    checks read only the footprint of A | B, in preorder: off it, both
+    freedoms are 0 and no leaf meets A ^ B.
     """
     ris_a = compute_ris_tables(t, bits(amask))
     ris_b = compute_ris_tables(t, bits(bmask))
     vals_a = compute_freedom(t, k, ris_a)
     vals_b = compute_freedom(t, k, ris_b)
-    for u in t.preorder():
+    order = _footprint(t, amask | bmask)
+    for u in order:
         if vals_a.freedom[u] != vals_b.freedom[u]:
             return Decision(False, (u, FREEDOM_MISMATCH)), vals_a
     diff = amask ^ bmask
-    for u in t.leaves():
-        if diff & t.nodes[u].vmask and (
+    for u in order:
+        node = t.nodes[u]
+        if node.kind == LEAF and diff & node.vmask and (
                 chordal.pinned(ris_a[u].values, vals_a.freedom[u])
                 or chordal.pinned(ris_b[u].values, vals_a.freedom[u])):
             return Decision(False, (u, LEAF_UNREACHABLE)), vals_a

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .cotree import Cotree, JOIN, build_maximal_cotree, restrict
 from .engine import (NodeValues, RisTable, _decide_tree, _independent_masks,
-                     compute_ris_tables)
+                     compute_ris_tables, subtree_alpha)
 from .errors import (InputError, InternalError, UnreachableError,
                      UnsupportedGraphClassError)
 from .graph import Graph, bits, is_independent, mask_of, vertex_set
@@ -131,16 +131,17 @@ def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
     climbs: dict[int, tuple[int, int, list[Step]]] = {}
     for x in t.postorder(u):
         node = t.nodes[x]
+        tab = tables[x]
         if node.is_leaf:
             if not node.is_trivial_leaf:
                 raise UnsupportedGraphClassError(
                     "witness construction requires single-vertex leaves")
             v = node.vmask
-            climbs[x] = ((v, v, []) if tables[x].base
+            climbs[x] = ((v, v, []) if tab.base
                          else (0, v, [((), (v.bit_length() - 1,))]))
         elif node.kind == JOIN:
-            alpha_u = tables[x].values[0]
-            if tables[x].base == 0:
+            alpha_u = tab.values[0]
+            if tab.base == 0:
                 top = climbs[node.left][1]
                 if top.bit_count() < alpha_u:
                     top = climbs[node.right][1]
@@ -163,7 +164,7 @@ def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
             b = c = 0
             steps = []
             while q != tv[0] or r != tw[0]:
-                for ell in range(tables[x].base, -1, -1):
+                for ell in range(tab.base, -1, -1):
                     if tv[max(ell - r, 0)] > q:
                         step = steps_v[b]
                         b += 1
@@ -209,18 +210,13 @@ def accessible_subgraph(t: Cotree, values_a: NodeValues) -> frozenset:
 
     ``values_a`` is the top-down pass of a start set at its token bound.  A
     vertex is inaccessible exactly when its leaf sits below the empty side
-    of a join node that must keep at least one token on the occupied side;
-    at bound 0 no leaf is blocked.
+    of a join node that must keep at least one token on the occupied side,
+    which is what ``values_a.blocked`` masks; at bound 0 no leaf is blocked.
     """
-    acc = 0
-    for u in t.leaves():
-        node = t.nodes[u]
-        if not node.is_trivial_leaf:
-            raise UnsupportedGraphClassError(
-                "accessibility analysis requires single-vertex leaves")
-        if not values_a.blocked[u]:
-            acc |= node.vmask
-    return vertex_set(acc)
+    if not t.all_leaves_trivial():
+        raise UnsupportedGraphClassError(
+            "accessibility analysis requires single-vertex leaves")
+    return vertex_set(t.nodes[t.root].vmask & ~values_a.blocked)
 
 
 def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
@@ -237,7 +233,7 @@ def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
     if not t.all_leaves_trivial():
         raise UnsupportedGraphClassError(
             "witness construction requires single-vertex leaves")
-    alpha = compute_ris_tables(t, ())[t.root].values[0]
+    alpha = subtree_alpha(t)[t.root]
     for m in (amask, bmask):
         if m.bit_count() != alpha or not is_independent(t.graph, bits(m)):
             raise InputError("bridging requires maximum independent sets")

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 from isrecon import Graph, gen_cograph
-from isrecon.chordal import is_dominating
+from isrecon.chordal import is_dominating, leaf_ris_table
+from isrecon.cotree import JOIN, UNION
+from isrecon.engine import RisTable, ris_join, ris_union
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle
 
@@ -135,3 +137,45 @@ def cograph_corpus(count: int, max_n: int, seed_base: int = 0):
         n = rng.randint(1, max_n)
         g, t = gen_cograph(n, seed)
         yield seed, g, t
+
+
+def full_ris_tables(t, i) -> dict:
+    """Reference table pass: every node's table, in postorder over the whole tree."""
+    imask = t.check_vertex_set(i)
+    tables = {}
+    for u in t.postorder():
+        node = t.nodes[u]
+        if node.kind == UNION:
+            tables[u] = ris_union(tables[node.left], tables[node.right])
+        elif node.kind == JOIN:
+            tables[u] = ris_join(tables[node.left], tables[node.right])
+        else:
+            base = (imask & node.vmask).bit_count()
+            if node.is_trivial_leaf:
+                tables[u] = RisTable(base, [1] * (base + 1))
+            else:
+                local = [x for x, v in enumerate(bits(node.vmask)) if imask >> v & 1]
+                tables[u] = RisTable(base, leaf_ris_table(node.leaf_graph, local))
+    return tables
+
+
+def full_freedom(t, k: int, ris: dict) -> tuple[dict, dict]:
+    """Reference freedom pass: freedom and blocked flag of every node, top-down."""
+    freedom = {t.root: k}
+    blocked = {t.root: False}
+    for u in t.preorder():
+        node = t.nodes[u]
+        if node.is_leaf:
+            continue
+        f = freedom[u]
+        if node.kind == JOIN:
+            occ, emp = node.left, node.right
+            if ris[emp].base > 0:
+                occ, emp = emp, occ
+            freedom[occ], freedom[emp] = f, 0
+            blocked[occ] = blocked[u]
+            blocked[emp] = blocked[u] or f >= 1
+        else:
+            freedom[node.left], freedom[node.right] = ris[u].tuples[f]
+            blocked[node.left] = blocked[node.right] = blocked[u]
+    return freedom, blocked

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from isrecon import Graph, InputError, InternalError, decide, tj_decide
-from isrecon.cotree import build_maximal_cotree
+from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
+                     decide, gen_cograph, gen_composed, tj_decide)
+from isrecon.cotree import UNION, build_maximal_cotree
 from isrecon.engine import (FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD,
                             compute_freedom, compute_ris_tables, ris_join,
                             ris_union)
+from isrecon.graph import bits
+from isrecon.oracle import get_oracle
 from isrecon.witness import build_su_sequence, sequence_to_max
 
 from helpers import c4, complete, edgeless, p3, p4, two_k2
@@ -81,6 +84,49 @@ def test_compute_ris_tables_two_k2():
     assert tabs1[t.root].values == [2, 2]
 
 
+@pytest.mark.parametrize("g", [gen_cograph(14, 5)[0], gen_composed([4, 5, 3], 0.5, 2)])
+def test_compute_ris_tables_builds_only_the_footprint(g):
+    t = build_maximal_cotree(g)
+    sets = get_oracle(g).sets
+    for imask in sets[:: max(1, len(sets) // 12)]:
+        tabs = compute_ris_tables(t, bits(imask))
+        footprint = {u for u in t.preorder() if t.nodes[u].vmask & imask}
+        assert len(tabs) == (len(footprint) if imask else 1)
+        assert set(tabs) == footprint | {t.root}
+        for u in t.preorder():
+            if u in footprint or u == t.root:
+                continue
+            # a missed node reads as its subtree's alpha, and is not stored
+            vm = t.nodes[u].vmask
+            alpha = max((s & vm).bit_count() for s in sets)
+            assert tabs[u].base == 0 and tabs[u].values == [alpha]
+            assert tabs[u].tuples == ([(0, 0)] if t.nodes[u].kind == UNION else None)
+            assert u not in tabs
+
+
+@pytest.mark.parametrize("leaf_first", [True, False])
+def test_table_pass_errors_come_in_a_fixed_order(leaf_first):
+    # a 5-vertex prime leaf beside an edge; the set is the edge's two ends
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    p5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    leaf_at, edge_at = (0, 5) if leaf_first else (2, 0)
+    edge = [edge_at, edge_at + 1]
+
+    def tree(leaf_edges):
+        g = Graph.from_edges(7, [(u + leaf_at, v + leaf_at) for u, v in leaf_edges]
+                             + [tuple(edge)])
+        return build_maximal_cotree(g)
+
+    with pytest.raises(InputError, match="out of range"):
+        compute_ris_tables(tree(c5), edge + [7])
+    # C5 is not chordal: reported before the dependent set, wherever it sits
+    with pytest.raises(UnsupportedGraphClassError):
+        compute_ris_tables(tree(c5), edge)
+    # P5 is chordal, so the dependent set is reported
+    with pytest.raises(InputError, match="independent"):
+        compute_ris_tables(tree(p5), edge)
+
+
 def test_compute_freedom_blocks_empty_join_side():
     g = c4()
     t = build_maximal_cotree(g)
@@ -92,15 +138,16 @@ def test_compute_freedom_blocks_empty_join_side():
     assert vals.freedom[t.root] == 1
     assert vals.freedom[occupied] == 1
     assert vals.freedom[empty] == 0
-    assert vals.blocked[empty]
-    assert not vals.blocked[occupied]
+    # the empty side lies inside the blocked mask, the occupied side does not
+    assert t.nodes[empty].vmask & ~vals.blocked == 0
+    assert t.nodes[occupied].vmask & ~vals.blocked
 
 
 def test_compute_freedom_at_zero_blocks_nothing():
     t = build_maximal_cotree(c4())
     tabs = compute_ris_tables(t, [0, 2])
     vals = compute_freedom(t, 0, tabs)
-    assert not any(vals.blocked.values())
+    assert vals.blocked == 0
 
 
 def test_decide_c4():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
-                     is_cograph, validate_tar_sequence)
+                     gen_composed, is_cograph, validate_tar_sequence)
 from isrecon.chordal import alpha_chordal, chordality, leaf_reachable
 from isrecon.cotree import build_maximal_cotree, realize
 from isrecon.engine import compute_freedom, compute_ris_tables
@@ -15,7 +15,7 @@ from isrecon.graph import bits, is_independent, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph, bridge_max_sets
 
-from helpers import maximal_sets
+from helpers import full_freedom, full_ris_tables, maximal_sets
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -146,6 +146,37 @@ def test_ris_tables_monotone_and_bounded(inst):
         for ell in range(base):
             assert tab.values[ell] >= tab.values[ell + 1]
         assert all(v >= base for v in tab.values)
+
+
+@st.composite
+def footprint_instances(draw):
+    """A cograph or a composition of chordal parts, a set and a token bound."""
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    if draw(st.booleans()):
+        g, _ = gen_cograph(draw(st.integers(min_value=1, max_value=12)), seed)
+    else:
+        parts = draw(st.lists(st.integers(min_value=1, max_value=5),
+                              min_size=1, max_size=3))
+        g = gen_composed(parts, draw(st.sampled_from([0.3, 0.6, 0.9])), seed)
+    a = frozenset(bits(draw(st.sampled_from(get_oracle(g).sets))))
+    return g, a, draw(st.integers(min_value=0, max_value=len(a)))
+
+
+@SETTINGS
+@given(footprint_instances())
+def test_footprint_passes_match_the_full_passes(inst):
+    g, a, k = inst
+    t = build_maximal_cotree(g)
+    tabs = compute_ris_tables(t, a)
+    vals = compute_freedom(t, k, tabs)
+    ref = full_ris_tables(t, a)
+    ref_freedom, ref_blocked = full_freedom(t, k, ref)
+    for u in t.preorder():
+        assert tabs[u].base == ref[u].base
+        assert tabs[u].values == ref[u].values
+        assert tabs[u].tuples == ref[u].tuples
+        assert vals.freedom[u] == ref_freedom[u]
+        assert (t.nodes[u].vmask & ~vals.blocked == 0) == ref_blocked[u]
 
 
 # At ell = 2 the root union of this graph has the fixpoints (0, 0) and
