@@ -4,6 +4,14 @@ A graph is split as long as it or its complement is disconnected; the
 remaining prime (indecomposable) pieces become leaf graphs.  Union and join
 alternate along every path of this maximal tree (Corneil, Lerchs and Stewart
 Burlingham 1981).  A graph with only single-vertex leaves is a cograph.
+
+The factorization merges twins before it searches.  Vertices with equal rows
+(false twins) or equal closed rows (true twins) collapse into their smallest
+member, round by round, and each merge records a union or join part; a graph
+is a cograph exactly when the rounds leave one vertex (the same paper).  The
+rounds stop early once one merges fewer than a quarter of the live vertices,
+and the connectivity search then factors only the quotient left, in which
+every prime piece is a union of twin classes.
 """
 
 from __future__ import annotations
@@ -104,8 +112,8 @@ class Cotree:
 def _components(adj, mask: int, flip: int) -> list[int]:
     """Connected components of the subgraph induced by ``mask``, as masks.
 
-    With ``flip`` = ``mask`` every row is complemented within ``mask``, which
-    gives the components of the complement.  Ordered by smallest vertex id.
+    With a nonzero ``flip`` the search runs in the complement within
+    ``mask``, which gives the co-components.  Ordered by smallest vertex id.
     """
     comps = []
     remaining = mask
@@ -114,10 +122,19 @@ def _components(adj, mask: int, flip: int) -> list[int]:
         comp = start
         frontier = start
         while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v] ^ flip
-            frontier = nxt & remaining & ~comp
+            if flip:
+                # the frontier's non-neighbours: all but its common neighbours
+                common = -1
+                for v in bits(frontier):
+                    common &= adj[v]
+                    if not common:
+                        break
+                frontier = remaining & ~(common | comp)
+            else:
+                nbrs = 0
+                for v in bits(frontier):
+                    nbrs |= adj[v]
+                frontier = nbrs & remaining & ~comp
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp
@@ -127,15 +144,112 @@ def _components(adj, mask: int, flip: int) -> list[int]:
 def build_maximal_cotree(g: Graph) -> Cotree:
     """Factor ``g`` by union/join splits until every piece is indecomposable.
 
-    The root is searched for components, then co-components; a union part
-    only for co-components, a join part only for components.  A part kept
-    whole is a prime leaf, and its induced graph is built here; a prime
-    root keeps ``g`` itself.  A k-way split is folded into a balanced
-    binary tree of depth ceil(log2 k) by pairing neighbouring parts,
-    ordered by their smallest vertex.
+    Twin rounds come first.  Each round groups the live vertices by their
+    row within the live set (false twins) and by their closed row (true
+    twins); a vertex has twins of at most one kind.  Every class merges
+    into its smallest vertex, which records a union part for false twins or
+    a join part for true ones; a part merged into a part of the same kind
+    is flattened into it.  A class is a module, so the rows of the live
+    vertices span the quotient graph.  The rounds stop when one vertex is
+    left (``g`` is a cograph) or when a round merges fewer than a quarter of
+    the live vertices, rounded down, as on chains or graphs with prime
+    pieces.  Two or three live vertices always hold twins, so the rounds
+    end.
+
+    The stalled quotient is then searched as the graph was before: the root
+    for components, then co-components; a union part only for
+    co-components, a join part only for components.  Deleting a twin keeps
+    a part connected and co-connected, so a quotient part kept whole is a
+    prime leaf over its classes' vertices, and its induced graph is built
+    here; a prime root keeps ``g`` itself.  A single-vertex quotient part
+    stands for its class's merge part, whose children need no search.
+
+    A k-way split is folded into a balanced binary tree of depth
+    ceil(log2 k) by pairing neighbouring parts, ordered by their smallest
+    vertex.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise InputError("cotree construction needs at least one vertex")
+    adj = g.adj
+    # Items 0..n-1 are vertices; items from n on are merge parts and, once
+    # the rounds stop, quotient parts.  An item keeps its smallest vertex; a
+    # vertex or merge part keeps its next sibling; a part keeps its vertex
+    # mask, and a merge part its kind and first and last child.
+    low = list(range(n))
+    nxt = [-1] * n
+    kinds: dict[int, str] = {}
+    masks: dict[int, int] = {}
+    heads: dict[int, int] = {}
+    tails: dict[int, int] = {}
+    top = list(range(n))  # live vertex -> the item of its class
+    live = list(range(n))
+    alive = g.full_mask
+    grown = 0  # vertices that have held a class of two or more
+    raw = True  # round 1 groups by the raw rows, as every vertex is live
+    while len(live) > 1:
+        first: dict[int, int] = {}  # row or closed row -> its first vertex
+        kept = []
+        dead = 0
+        for v in live:
+            row = adj[v] if raw else adj[v] & alive
+            # A row lacks its own vertex and a closed row holds it, so the
+            # two kinds of key never collide in one dict.
+            kind = UNION
+            r = first.setdefault(row, v)
+            if r == v:
+                kind = JOIN
+                r = first.setdefault(row | 1 << v, v)
+                if r == v:
+                    kept.append(v)
+                    continue
+            part = top[r]
+            if kinds.get(part) != kind:  # r's class opens a part of this kind
+                child = part
+                part = top[r] = len(low)
+                low.append(r)
+                nxt.append(-1)
+                kinds[part] = kind
+                if child < n:
+                    masks[part] = 1 << child
+                    grown |= masks[part]
+                else:
+                    masks[part] = masks[child]
+                heads[part] = tails[part] = child
+            x = top[v]
+            bit = 1 << v
+            if kinds.get(x) == kind:  # flatten x's children into the part
+                nxt[tails[part]] = heads[x]
+                tails[part] = tails[x]
+                masks[part] |= masks[x]
+            else:
+                nxt[tails[part]] = x
+                tails[part] = x
+                masks[part] |= masks[x] if x >= n else bit
+            dead |= bit
+        alive ^= dead
+        raw = False
+        stalled = len(live) - len(kept) < len(live) // 4
+        live = kept
+        if stalled:
+            break
+
+    grown &= alive  # the live vertices whose class holds two or more
+    quotient: dict[int, int] = {}  # quotient part item -> its live vertices
+
+    def add_quotient_part(reps: int, vmask: int) -> int:
+        x = len(low)
+        low.append((reps & -reps).bit_length() - 1)
+        quotient[x] = reps
+        masks[x] = vmask
+        return x
+
+    def add_children(parts: list, part: int) -> None:
+        x = heads[part]
+        while x >= 0:
+            parts.append(x)
+            x = nxt[x]
+
     t = Cotree(graph=g)
     nodes = t.nodes
 
@@ -144,25 +258,57 @@ def build_maximal_cotree(g: Graph) -> Cotree:
         return len(nodes) - 1
 
     t.root = new_node(LEAF, g.full_mask)
-    pending = [(t.root, None)]  # (node, kind of the split that made it)
+    root = top[live[0]] if len(live) == 1 else add_quotient_part(alive, g.full_mask)
+    pending = [(t.root, None, root)]  # (node, kind of the split that made it, item)
     while pending:
-        u, made_by = pending.pop()
-        mask = nodes[u].vmask
-        if mask.bit_count() == 1:
+        u, made_by, item = pending.pop()
+        if item < n:
             continue  # trivial leaf
-        for kind, flip in ((UNION, 0), (JOIN, mask)):
-            if kind != made_by:  # a union part is connected, a join part co-connected
-                parts = _components(g.adj, mask, flip)
-                if len(parts) > 1:
-                    break
+        parts = []
+        if item in kinds:
+            kind = kinds[item]
+            add_children(parts, item)
         else:
-            # prime leaf; a prime root is the graph itself
-            nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(bits(mask))
-            continue
+            reps = quotient[item]
+            for kind, flip in ((UNION, 0), (JOIN, reps)):
+                if kind != made_by:  # a union part is connected, a join part co-connected
+                    found = _components(adj, reps, flip)
+                    if len(found) > 1:
+                        break
+            else:
+                # prime leaf; a prime root is the graph itself
+                mask = nodes[u].vmask
+                nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(bits(mask))
+                continue
+            # The largest quotient part takes the vertices the others leave,
+            # so only the smaller ones gather their classes.
+            largest = max(found, key=int.bit_count)
+            rest = 0
+            for p in found:
+                if p & (p - 1):
+                    if p == largest:
+                        continue
+                    vmask = p
+                    for r in bits(p & grown):
+                        vmask |= masks[top[r]]
+                    x = add_quotient_part(p, vmask)
+                    parts.append(x)
+                else:
+                    x = top[p.bit_length() - 1]
+                    if kinds.get(x) == kind:  # its children join the split
+                        add_children(parts, x)
+                    else:
+                        parts.append(x)
+                rest |= masks[x] if x >= n else 1 << x
+            if largest & (largest - 1):
+                parts.append(add_quotient_part(largest, nodes[u].vmask & ~rest))
+        parts.sort(key=low.__getitem__)
+        level = []
+        for x in parts:
+            level.append(new_node(LEAF, masks[x] if x >= n else 1 << x))
+            pending.append((level[-1], kind, x))
         # Pair neighbouring parts level by level, carrying an odd last part
         # up, so the split has depth ceil(log2 k); u takes the last two.
-        level = [new_node(LEAF, p) for p in parts]
-        pending.extend((p, kind) for p in level)
         while len(level) > 2:
             paired = []
             for a, b in zip(level[::2], level[1::2]):

@@ -6,7 +6,7 @@ import random
 
 from isrecon import Graph, gen_cograph
 from isrecon.chordal import is_dominating, leaf_ris_table
-from isrecon.cotree import JOIN, UNION
+from isrecon.cotree import JOIN, LEAF, UNION, Cotree, CotreeNode
 from isrecon.engine import RisTable, ris_join, ris_union
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle
@@ -51,6 +51,21 @@ def alternating_threshold(n: int) -> Graph:
     return Graph(n, adj)
 
 
+def with_twin(g: Graph, v: int, true_twin: bool) -> Graph:
+    """``g`` plus a new last vertex that is a true or false twin of ``v``."""
+    row = g.adj[v] | (1 << v if true_twin else 0)
+    adj = [r | (row >> u & 1) << g.n for u, r in enumerate(g.adj)]
+    return Graph(g.n + 1, adj + [row])
+
+
+def compose(g: Graph, h: Graph, join: bool) -> Graph:
+    """The union or join of ``g`` and ``h``, with ``h`` renumbered after ``g``."""
+    hmask = ((1 << h.n) - 1) << g.n if join else 0
+    adj = [row | hmask for row in g.adj]
+    adj += [row << g.n | (g.full_mask if join else 0) for row in h.adj]
+    return Graph(g.n + h.n, adj)
+
+
 def cotree_depth(t) -> int:
     """The number of edges on the longest root-to-leaf path of a cotree."""
     depth = {t.root: 0}
@@ -59,6 +74,77 @@ def cotree_depth(t) -> int:
         if not node.is_leaf:
             depth[node.left] = depth[node.right] = depth[u] + 1
     return max(depth.values())
+
+
+def reference_components(adj, mask: int, flip: int) -> list[int]:
+    """Components of the subgraph induced by ``mask``, by plain search.
+
+    With ``flip`` = ``mask`` every row is complemented within ``mask``, which
+    gives the co-components.  Ordered by smallest vertex id.
+    """
+    comps = []
+    remaining = mask
+    while remaining:
+        comp = frontier = remaining & -remaining
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v] ^ flip
+            frontier = nxt & remaining & ~comp
+            comp |= frontier
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
+
+
+def reference_cotree(g: Graph) -> Cotree:
+    """Reference factorization: one connectivity search per part, no twins.
+
+    The root is searched for components, then co-components; a union part
+    only for co-components, a join part only for components.  A part kept
+    whole is a prime leaf.  A k-way split folds into a balanced tree by
+    pairing neighbouring parts, ordered by their smallest vertex.  The
+    searches go through the module's ``reference_components``, so a test
+    can count them.
+    """
+    t = Cotree(graph=g)
+    nodes = t.nodes
+
+    def new_node(kind: str, vmask: int, left: int = -1, right: int = -1) -> int:
+        nodes.append(CotreeNode(kind, vmask, left, right))
+        return len(nodes) - 1
+
+    t.root = new_node(LEAF, g.full_mask)
+    pending = [(t.root, None)]  # (node, kind of the split that made it)
+    while pending:
+        u, made_by = pending.pop()
+        mask = nodes[u].vmask
+        if mask.bit_count() == 1:
+            continue
+        for kind, flip in ((UNION, 0), (JOIN, mask)):
+            if kind != made_by:
+                parts = reference_components(g.adj, mask, flip)
+                if len(parts) > 1:
+                    break
+        else:
+            nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(bits(mask))
+            continue
+        level = [new_node(LEAF, p) for p in parts]
+        pending.extend((p, kind) for p in level)
+        while len(level) > 2:
+            paired = []
+            for a, b in zip(level[::2], level[1::2]):
+                paired.append(new_node(kind, nodes[a].vmask | nodes[b].vmask, a, b))
+            level = paired + level[2 * len(paired):]
+        nodes[u].kind = kind
+        nodes[u].left, nodes[u].right = level
+    return t
+
+
+def leaf_graphs(t: Cotree) -> list:
+    """(node, adj, origin) of every prime leaf, in node order."""
+    return [(u, x.leaf_graph.adj, x.leaf_graph.origin)
+            for u, x in enumerate(t.nodes) if x.leaf_graph is not None]
 
 
 def sample_triples(g: Graph, count: int, seed: int):

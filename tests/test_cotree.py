@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from functools import reduce
 from operator import or_
 
@@ -8,7 +10,10 @@ import isrecon.cotree
 from isrecon import Graph, InputError, gen_cograph, gen_composed, is_cograph
 from isrecon.cotree import JOIN, UNION, build_maximal_cotree, realize
 
-from helpers import c4, complete, cotree_depth, edgeless, p3, p4, two_k2
+import helpers
+from helpers import (alternating_threshold, c4, complete, compose, cotree_depth,
+                     edgeless, leaf_graphs, p3, p4, reference_cotree, two_k2,
+                     with_twin)
 
 
 def test_single_vertex():
@@ -101,35 +106,125 @@ def test_vmasks_partition_at_every_internal_node():
         assert t.nodes[t.root].vmask == g.full_mask
 
 
-def test_one_search_per_examined_vertex_set(monkeypatch):
+def count_searches(monkeypatch) -> list[int]:
+    """Record the vertex mask of every component search from now on, made
+    by the factorization or by the reference."""
     calls = []
-    components = isrecon.cotree._components
+    for module, name in ((isrecon.cotree, "_components"),
+                         (helpers, "reference_components")):
+        def counted(adj, mask, flip, search=getattr(module, name)):
+            calls.append(mask)
+            return search(adj, mask, flip)
 
-    def counted(adj, mask, flip):
-        calls.append(mask)
-        return components(adj, mask, flip)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
-    monkeypatch.setattr(isrecon.cotree, "_components", counted)
-    build_maximal_cotree(two_k2())      # root, then each K2's complement
-    assert len(calls) == 3
-    calls.clear()
-    build_maximal_cotree(complete(5))   # the connected root gets both
-    assert len(calls) == 2
-    for n, seed in ((2, 0), (30, 1), (60, 2), (150, 3), (300, 4)):
-        g = gen_cograph(n, seed)[0]
+
+def round_one_merged(g: Graph) -> int:
+    """The vertices with an earlier twin, by row or closed row."""
+    seen = set()
+    merged = 0
+    for v, row in enumerate(g.adj):
+        if row in seen or row | 1 << v in seen:
+            merged |= 1 << v
+        seen.update((row, row | 1 << v))
+    return merged
+
+
+def test_searches_only_the_stalled_quotient(monkeypatch):
+    calls = count_searches(monkeypatch)
+    # the twin rounds reduce a cograph to one vertex, with no search
+    graphs = [two_k2(), complete(5)]
+    graphs += [gen_cograph(n, seed)[0] for n, seed in
+               ((2, 0), (30, 1), (60, 2), (150, 3), (300, 4))]
+    for g in graphs:
+        build_maximal_cotree(g)
+        assert calls == []
+    # a chain merges only its bottom pair {0, 1} (true twins) in round 1 and
+    # stalls; every other part is searched as often as by the reference
+    for n in (10, 11, 100):
+        g = alternating_threshold(n)
+        reference_cotree(g)
+        expected = len(calls) - 1
         calls.clear()
-        t = build_maximal_cotree(g)
-        # a split part is a node whose kind differs from its parent's (the
-        # nodes that fold a split share its kind); trivial leaves get none
-        parts = 0
-        for node in t.nodes:
-            if not node.is_leaf:
-                for child in (t.nodes[node.left], t.nodes[node.right]):
-                    if child.kind != node.kind and child.vmask.bit_count() > 1:
-                        parts += 1
-        connected = t.nodes[t.root].kind == JOIN
-        assert len(calls) == parts + 1 + connected
-        assert len(set(calls)) == parts + 1  # only the root searched twice
+        build_maximal_cotree(g)
+        assert len(calls) == expected
+        calls.clear()
+    # prime leaves stall the rounds; no search visits a merged vertex
+    for parts, seed in (([5, 7], 2), ([3, 8, 4, 6], 4), ([12, 12, 12], 5)):
+        g = gen_composed(parts, 0.5, seed)
+        merged = round_one_merged(g)
+        assert merged
+        build_maximal_cotree(g)
+        searched = list(calls)
+        assert searched and all(mask & merged == 0 for mask in searched)
+        calls.clear()
+        reference_cotree(g)
+        assert len(searched) <= len(calls)
+        calls.clear()
+
+
+def twin_heavy_primes():
+    """P4 and C5 with duplicated vertices, alone, under a join and under a union."""
+    rng = random.Random(7)
+    bases = [p4(), Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])]
+    for base in bases:
+        for v in range(base.n):
+            for true_twin in (False, True):
+                yield with_twin(base, v, true_twin)
+    for _ in range(60):
+        g = rng.choice(bases)
+        for _ in range(rng.randint(1, 6)):
+            g = with_twin(g, rng.randrange(g.n), rng.random() < 0.5)
+        yield g
+        other = rng.choice([edgeless(1), edgeless(3), complete(3), two_k2(), g])
+        yield compose(g, other, join=True)
+        yield compose(other, g, join=False)
+
+
+def assert_same_as_reference(g: Graph) -> None:
+    t, r = build_maximal_cotree(g), reference_cotree(g)
+    assert t.root == r.root
+    assert t.dump() == r.dump()
+    assert leaf_graphs(t) == leaf_graphs(r)
+
+
+def test_matches_the_reference_factorization():
+    rng = random.Random(11)
+    graphs = [gen_cograph(rng.randint(1, 120), seed)[0] for seed in range(400)]
+    for seed in range(250):
+        parts = [rng.randint(1, 12) for _ in range(rng.randint(1, 5))]
+        graphs.append(gen_composed(parts, rng.random(), seed))
+    for _ in range(400):
+        n, p = rng.randint(1, 14), rng.random()
+        graphs.append(Graph.from_edges(n, [(u, v) for u in range(n)
+                                           for v in range(u + 1, n) if rng.random() < p]))
+    graphs += twin_heavy_primes()
+    graphs += [edgeless(4000), Graph.from_edges(4000, [(v, v + 1) for v in range(0, 4000, 2)])]
+    assert len(graphs) >= 1000
+    for g in graphs:
+        assert_same_as_reference(g)
+
+
+def test_deep_chain_over_a_prime_leaf_with_twins(monkeypatch):
+    # P4 0-1-2-3 with a false twin 4 of the end 0 and a true twin 5 of the
+    # middle 2; above it a chain deeper than the recursion limit, each new
+    # vertex isolated from or dominating all earlier ones
+    base = with_twin(with_twin(p4(), 0, False), 2, True)
+    levels = sys.getrecursionlimit() + 100
+    g = base
+    for i in range(levels):
+        g = compose(g, edgeless(1), join=i % 2 == 1)
+    calls = count_searches(monkeypatch)
+    t = build_maximal_cotree(g)
+    searched = len(calls)
+    calls.clear()
+    r = reference_cotree(g)
+    assert searched <= len(calls)
+    assert t.dump() == r.dump() and leaf_graphs(t) == leaf_graphs(r)
+    assert cotree_depth(t) == levels
+    (leaf,) = [x for x in t.nodes if x.leaf_graph is not None]
+    assert leaf.vmask == base.full_mask and leaf.leaf_graph.adj == base.adj
 
 
 def test_preorder_postorder_cover_all_nodes():

@@ -15,7 +15,8 @@ from isrecon.graph import bits, is_independent, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph, bridge_max_sets
 
-from helpers import full_freedom, full_ris_tables, maximal_sets
+from helpers import (full_freedom, full_ris_tables, leaf_graphs, maximal_sets,
+                     reference_cotree, with_twin)
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -27,6 +28,16 @@ def small_graphs(draw, max_n: int = 8):
     edges = draw(st.lists(st.sampled_from(all_pairs), max_size=len(all_pairs),
                           unique=True)) if all_pairs else []
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def twin_expanded_graphs(draw):
+    """A small graph with vertices duplicated as true or false twins."""
+    g = draw(small_graphs(max_n=7))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        g = with_twin(g, draw(st.integers(min_value=0, max_value=g.n - 1)),
+                      draw(st.booleans()))
+    return g
 
 
 @st.composite
@@ -65,6 +76,14 @@ def test_realize_round_trips_every_graph(g):
         else:
             assert node.leaf_graph is None
     assert realize(t) == g
+
+
+@SETTINGS
+@given(twin_expanded_graphs())
+def test_factorization_matches_the_reference(g):
+    t, r = build_maximal_cotree(g), reference_cotree(g)
+    assert t.dump() == r.dump()
+    assert leaf_graphs(t) == leaf_graphs(r)
 
 
 @SETTINGS
