@@ -12,15 +12,13 @@ once: its independence number is stored on the immutable ``Graph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, UnsupportedGraphClassError
 from .graph import Graph, bits, is_independent
 
 
-@dataclass(frozen=True)
-class EliminationOrdering:
+class EliminationOrdering(NamedTuple):
     """A candidate perfect elimination ordering (simplicial vertex first)."""
 
     order: tuple[int, ...]

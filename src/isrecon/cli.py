@@ -213,6 +213,8 @@ def cmd_witness(args) -> int:
 
 def cmd_tables(args) -> int:
     g, a, _, k = parse_instance(args.graph, args.a, "-", args.k)
+    if g.n == 0 and k == 0:  # no cotree, so no nodes to print
+        return EXIT_REACHABLE
     t = build_maximal_cotree(g)
     ris = engine.compute_ris_tables(t, a)
     vals = engine.compute_freedom(t, k, ris)

@@ -16,7 +16,6 @@ every prime piece is a union of twin classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, InternalError
@@ -27,13 +26,16 @@ JOIN = "join"
 LEAF = "leaf"
 
 
-@dataclass
 class CotreeNode:
-    kind: str               # "union" | "join" | "leaf"
-    vmask: int              # vertex set V_u as a bitmask in root-graph ids
-    left: int = -1
-    right: int = -1
-    leaf_graph: Optional[Graph] = None  # set on prime leaves only
+    __slots__ = ("kind", "vmask", "left", "right", "leaf_graph")
+
+    def __init__(self, kind: str, vmask: int, left: int = -1, right: int = -1,
+                 leaf_graph: Optional[Graph] = None):
+        self.kind = kind            # "union" | "join" | "leaf"
+        self.vmask = vmask          # vertex set V_u as a bitmask in root-graph ids
+        self.left = left
+        self.right = right
+        self.leaf_graph = leaf_graph  # set on prime leaves only
 
     @property
     def is_leaf(self) -> bool:
@@ -44,7 +46,6 @@ class CotreeNode:
         return self.kind == LEAF and self.vmask.bit_count() == 1
 
 
-@dataclass
 class Cotree:
     """A factorization of ``graph``; nodes are indexed by their id.
 
@@ -53,11 +54,13 @@ class Cotree:
     after it is built, so the list cannot go stale.
     """
 
-    graph: Graph
-    nodes: list[CotreeNode] = field(default_factory=list)
-    root: int = -1
-    _alpha: Optional[list[int]] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    __slots__ = ("graph", "nodes", "root", "_alpha")
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.nodes: list[CotreeNode] = []
+        self.root = -1
+        self._alpha: Optional[list[int]] = None
 
     def preorder(self, start: Optional[int] = None) -> Iterator[int]:
         """Parents before children, in the subtree of ``start`` (default: root).
@@ -148,13 +151,14 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     row within the live set (false twins) and by their closed row (true
     twins); a vertex has twins of at most one kind.  Every class merges
     into its smallest vertex, which records a union part for false twins or
-    a join part for true ones; a part merged into a part of the same kind
-    is flattened into it.  A class is a module, so the rows of the live
-    vertices span the quotient graph.  The rounds stop when one vertex is
-    left (``g`` is a cograph) or when a round merges fewer than a quarter of
-    the live vertices, rounded down, as on chains or graphs with prime
-    pieces.  Two or three live vertices always hold twins, so the rounds
-    end.
+    a join part for true ones.  A merge part keeps its children in one
+    list; a part merged into a part of the same kind is flattened into it,
+    its list appended to the other's, and emitting a part pops its list.  A
+    class is a module, so the rows of the live vertices span the quotient
+    graph.  The rounds stop when one vertex is left (``g`` is a cograph) or
+    when a round merges fewer than a quarter of the live vertices, rounded
+    down, as on chains or graphs with prime pieces.  Two or three live
+    vertices always hold twins, so the rounds end.
 
     The stalled quotient is then searched as the graph was before: the root
     for components, then co-components; a union part only for
@@ -174,14 +178,12 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     adj = g.adj
     # Items 0..n-1 are vertices; items from n on are merge parts and, once
     # the rounds stop, quotient parts.  An item keeps its smallest vertex; a
-    # vertex or merge part keeps its next sibling; a part keeps its vertex
-    # mask, and a merge part its kind and first and last child.
+    # part keeps its vertex mask, and a merge part its kind and its list of
+    # children, which emission pops.
     low = list(range(n))
-    nxt = [-1] * n
     kinds: dict[int, str] = {}
     masks: dict[int, int] = {}
-    heads: dict[int, int] = {}
-    tails: dict[int, int] = {}
+    kids: dict[int, list[int]] = {}
     top = list(range(n))  # live vertex -> the item of its class
     live = list(range(n))
     alive = g.full_mask
@@ -208,23 +210,20 @@ def build_maximal_cotree(g: Graph) -> Cotree:
                 child = part
                 part = top[r] = len(low)
                 low.append(r)
-                nxt.append(-1)
                 kinds[part] = kind
                 if child < n:
                     masks[part] = 1 << child
                     grown |= masks[part]
                 else:
                     masks[part] = masks[child]
-                heads[part] = tails[part] = child
+                kids[part] = [child]
             x = top[v]
             bit = 1 << v
             if kinds.get(x) == kind:  # flatten x's children into the part
-                nxt[tails[part]] = heads[x]
-                tails[part] = tails[x]
-                masks[part] |= masks[x]
+                kids[part] += kids.pop(x)
+                masks[part] |= masks.pop(x)
             else:
-                nxt[tails[part]] = x
-                tails[part] = x
+                kids[part].append(x)
                 masks[part] |= masks[x] if x >= n else bit
             dead |= bit
         alive ^= dead
@@ -244,12 +243,6 @@ def build_maximal_cotree(g: Graph) -> Cotree:
         masks[x] = vmask
         return x
 
-    def add_children(parts: list, part: int) -> None:
-        x = heads[part]
-        while x >= 0:
-            parts.append(x)
-            x = nxt[x]
-
     t = Cotree(graph=g)
     nodes = t.nodes
 
@@ -264,11 +257,11 @@ def build_maximal_cotree(g: Graph) -> Cotree:
         u, made_by, item = pending.pop()
         if item < n:
             continue  # trivial leaf
-        parts = []
         if item in kinds:
             kind = kinds[item]
-            add_children(parts, item)
+            parts = kids.pop(item)
         else:
+            parts = []
             reps = quotient[item]
             for kind, flip in ((UNION, 0), (JOIN, reps)):
                 if kind != made_by:  # a union part is connected, a join part co-connected
@@ -296,7 +289,7 @@ def build_maximal_cotree(g: Graph) -> Cotree:
                 else:
                     x = top[p.bit_length() - 1]
                     if kinds.get(x) == kind:  # its children join the split
-                        add_children(parts, x)
+                        parts += kids.pop(x)
                     else:
                         parts.append(x)
                 rest |= masks[x] if x >= n else 1 << x

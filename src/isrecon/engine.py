@@ -13,8 +13,7 @@ leaf's two tables whether either set is pinned there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import chordal
 from .cotree import Cotree, JOIN, LEAF, UNION, build_maximal_cotree
@@ -26,8 +25,7 @@ LEAF_UNREACHABLE = "leaf-unreachable"
 SIZE_BELOW_THRESHOLD = "size-below-threshold"
 
 
-@dataclass
-class RisTable:
+class RisTable(NamedTuple):
     """Per-node DP row: values[ell] is the best reachable size at bound ell.
 
     ``tuples`` is populated at union nodes only and stores, for every ell,
@@ -39,8 +37,7 @@ class RisTable:
     tuples: Optional[list[tuple[int, int]]] = None
 
 
-@dataclass
-class NodeValues:
+class NodeValues(NamedTuple):
     """Top-down results: freedom per node id, and the blocked vertices.
 
     ``blocked`` is the union of the empty sides of the joins whose freedom
@@ -70,8 +67,7 @@ class _Tables(dict):
         return RisTable(0, [self._alpha[u]], [(0, 0)] if union else None)
 
 
-@dataclass
-class Decision:
+class Decision(NamedTuple):
     reachable: bool
     failure_witness: Optional[tuple[Optional[int], str]] = None
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cotree import Cotree, build_maximal_cotree
 from .errors import InputError, OracleCapacityError
@@ -206,8 +205,7 @@ def oracle_accessible(g: Graph, a: Iterable[int], k: int) -> frozenset:
     return vertex_set(acc)
 
 
-@dataclass
-class SolutionGraph:
+class SolutionGraph(NamedTuple):
     """An explicitly materialized TAR_k / TJ_k solution graph."""
 
     model: str

@@ -11,10 +11,9 @@ each subtree's alpha from entry 0 of its RIS table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cotree import Cotree, JOIN, build_maximal_cotree, restrict
 from .engine import (NodeValues, RisTable, _decide_tree, _independent_masks,
@@ -24,14 +23,13 @@ from .errors import (InputError, InternalError, UnreachableError,
 from .graph import Graph, bits, is_independent, mask_of, vertex_set
 
 
-@dataclass
-class TarSequence:
+class TarSequence(NamedTuple):
     """A start set and the single-token moves ('add'|'remove', v) that follow."""
 
     start: frozenset
     steps: list[tuple[str, int]]
     k: int
-    alpha_accessible: int = 0      # set by build_witness: alpha of G[accessible]
+    alpha_accessible: int = 0      # from build_witness: alpha of G[accessible]
 
     @property
     def length(self) -> int:
@@ -86,8 +84,7 @@ def validate_tar_sequence(g: Graph, seq: TarSequence) -> int:
 Step = tuple[tuple[int, ...], tuple[int, ...]]  # (removals, additions)
 
 
-@dataclass
-class SuSequence:
+class SuSequence(NamedTuple):
     """Monotone climb C_0..C_p within one cotree subtree, as a start set and steps.
 
     ``steps[i]`` realizes C_i -> C_{i+1} as ordered removals followed by

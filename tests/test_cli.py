@@ -156,6 +156,16 @@ def test_tables_output(c4_file, capsys):
     assert "freedom=" in out and "blocked=" in out and "tuples=" in out
 
 
+def test_every_command_answers_on_the_empty_graph(tmp_path, capsys):
+    p = tmp_path / "empty.g"
+    p.write_text("0 0\n")
+    assert main(["tables", str(p), "-", "-k", "0"]) == 0
+    assert capsys.readouterr() == ("", "")
+    for cmd in ("decide", "witness", "oracle"):
+        assert main([cmd, str(p), "-", "-", "-k", "0"]) == 0, cmd
+    assert capsys.readouterr().err == ""
+
+
 def test_oracle_command(c4_file, capsys):
     assert main(["oracle", c4_file, "0,2", "1,3", "-k", "1"]) == 1
     assert main(["oracle", c4_file, "0,2", "1,3", "-k", "0"]) == 0
