@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import engine, oracle as oraclemod, witness as witnessmod
-from .cotree import build_maximal_cotree
+from .cotree import UNION, build_maximal_cotree
 from .errors import InputError, UnreachableError, UnsupportedGraphClassError
 from .graph import Graph, is_independent, vertex_set
 
@@ -213,19 +213,22 @@ def cmd_witness(args) -> int:
 
 def cmd_tables(args) -> int:
     g, a, _, k = parse_instance(args.graph, args.a, "-", args.k)
-    if g.n == 0 and k == 0:  # no cotree, so no nodes to print
+    engine.check_token_bound(k, len(a))
+    if g.n == 0:  # no cotree, so no nodes to print
         return EXIT_REACHABLE
     t = build_maximal_cotree(g)
     ris = engine.compute_ris_tables(t, a)
     vals = engine.compute_freedom(t, k, ris)
     print(t.dump())
     for u in t.preorder():
-        tab = ris[u]
-        blocked = not t.nodes[u].vmask & ~vals.blocked
+        node, tab = t.nodes[u], ris[u]
+        blocked = not node.vmask & ~vals.blocked
         line = (f"node {u}: base={tab.base} values={tab.values} "
                 f"freedom={vals.freedom[u]} blocked={blocked}")
-        if tab.tuples is not None:
-            line += f" tuples={tab.tuples}"
+        if node.kind == UNION:
+            splits = [engine.union_split(ris[node.left], ris[node.right], ell)
+                      for ell in range(tab.base + 1)]
+            line += f" tuples={splits}"
         print(line)
     return EXIT_REACHABLE
 

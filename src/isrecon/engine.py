@@ -4,9 +4,9 @@ A set's passes visit only its footprint: the nodes whose vertex set meets
 it (and the root).  A subtree the set misses needs no work: its table is
 its independence number alpha, which each tree computes once, at its first
 pass, and its freedom is 0.  Bottom-up: per-node tables of the maximum reachable
-independent-set size for every token lower bound, with the maximum stable
-tuple recorded at union nodes.  Top-down: minimum-occupancy (freedom)
-values, plus the mask of the vertices a witness may not use.  The decision
+independent-set size for every token lower bound.  Top-down: minimum-occupancy
+(freedom) values, each union's split derived from its children's tables at
+its own freedom, plus the mask of the vertices a witness may not use.  The decision
 compares the freedoms of the two input sets, then reads from each prime
 leaf's two tables whether either set is pinned there.
 """
@@ -26,15 +26,10 @@ SIZE_BELOW_THRESHOLD = "size-below-threshold"
 
 
 class RisTable(NamedTuple):
-    """Per-node DP row: values[ell] is the best reachable size at bound ell.
-
-    ``tuples`` is populated at union nodes only and stores, for every ell,
-    the greatest fixpoint of the ell-stable iteration (minimum occupancies).
-    """
+    """Per-node DP row: values[ell] is the best reachable size at bound ell."""
 
     base: int                      # |I intersect V_u|
     values: list[int]              # index 0..base, non-increasing
-    tuples: Optional[list[tuple[int, int]]] = None
 
 
 class NodeValues(NamedTuple):
@@ -52,19 +47,17 @@ class NodeValues(NamedTuple):
 class _Tables(dict):
     """The tables of one set, keyed by node; only its footprint is stored.
 
-    A node the set misses reads as ``RisTable(0, [alpha])``, with
-    ``tuples == [(0, 0)]`` at a union: the table a whole-tree pass builds
-    there.  It is made again on each read and never stored.
+    A node the set misses reads as ``RisTable(0, [alpha])``: the table a
+    whole-tree pass builds there.  It is made again on each read and never
+    stored.
     """
 
-    def __init__(self, t: Cotree, alpha: list[int]):
+    def __init__(self, alpha: list[int]):
         super().__init__()
-        self._t = t
         self._alpha = alpha
 
     def __missing__(self, u: int) -> RisTable:
-        union = self._t.nodes[u].kind == UNION
-        return RisTable(0, [self._alpha[u]], [(0, 0)] if union else None)
+        return RisTable(0, [self._alpha[u]])
 
 
 class Decision(NamedTuple):
@@ -72,32 +65,46 @@ class Decision(NamedTuple):
     failure_witness: Optional[tuple[Optional[int], str]] = None
 
 
-def ris_union(ris_v: RisTable, ris_w: RisTable) -> RisTable:
-    """Combine child tables at a union node via the stable-tuple fixpoint.
+def _stable_pair(vv: list[int], wv: list[int], ell: int,
+                 a: int, b: int) -> tuple[int, int]:
+    """Iterate a := max(0, ell - W[b]), b := max(0, ell - V[a]) to the fixpoint:
+    from at or above the greatest ell-stable pair, the iterates fall to it."""
+    while True:
+        na = ell - wv[b]
+        if na < 0:
+            na = 0
+        nb = ell - vv[a]
+        if nb < 0:
+            nb = 0
+        if na == a and nb == b:
+            return a, b
+        a, b = na, nb
 
-    For each bound ell (descending), iterate a := max(0, ell - W[b]),
-    b := max(0, ell - V[a]) to the fixpoint; the pair only ever decreases,
+
+def union_split(ris_v: RisTable, ris_w: RisTable, ell: int) -> tuple[int, int]:
+    """The children's freedoms at a union of freedom ``ell``: the greatest
+    ell-stable pair, reached from the children's bases."""
+    return _stable_pair(ris_v.values, ris_w.values, ell, ris_v.base, ris_w.base)
+
+
+def ris_union(ris_v: RisTable, ris_w: RisTable) -> RisTable:
+    """Combine child tables at a union node via the stable-pair fixpoint.
+
+    If both children are flat (every entry their alpha), so is the union,
+    at the sum.  Otherwise the bounds are swept in descending order, each
+    starting from the previous bound's pair; the pair only ever decreases,
     so the whole table costs O(base) amortized.
     """
     vv, wv = ris_v.values, ris_w.values
     base = ris_v.base + ris_w.base
+    if vv[0] == vv[-1] and wv[0] == wv[-1]:
+        return RisTable(base, [vv[0] + wv[0]] * (base + 1))
     a, b = ris_v.base, ris_w.base
     values = [0] * (base + 1)
-    tuples: list[tuple[int, int]] = [(0, 0)] * (base + 1)
     for ell in range(base, -1, -1):
-        while True:
-            na = ell - wv[b]
-            if na < 0:
-                na = 0
-            nb = ell - vv[a]
-            if nb < 0:
-                nb = 0
-            if na == a and nb == b:
-                break
-            a, b = na, nb
+        a, b = _stable_pair(vv, wv, ell, a, b)
         values[ell] = vv[a] + wv[b]
-        tuples[ell] = (a, b)
-    return RisTable(base=base, values=values, tuples=tuples)
+    return RisTable(base, values)
 
 
 def ris_join(ris_v: RisTable, ris_w: RisTable) -> RisTable:
@@ -112,7 +119,7 @@ def ris_join(ris_v: RisTable, ris_w: RisTable) -> RisTable:
     occ = ris_v if ris_v.base > 0 or ris_w.base == 0 else ris_w
     values = list(occ.values)
     values[0] = max(ris_v.values[0], ris_w.values[0])
-    return RisTable(base=occ.base, values=values)
+    return RisTable(occ.base, values)
 
 
 def _leaf_local_ids(t: Cotree, u: int, mask: int) -> list[int]:
@@ -165,25 +172,24 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
     """Bottom-up pass: the table of every cotree node for start set ``i``.
 
     Only the footprint of ``i`` (the root and the nodes that meet ``i``) is
-    built and stored; any other node reads as ``RisTable(0, [alpha])``, with
-    ``tuples == [(0, 0)]`` at a union.  Errors come in a fixed order: a
-    vertex outside the tree (InputError), then a prime leaf anywhere in the
-    tree that is not chordal (UnsupportedGraphClassError), then a dependent
-    ``i`` (InputError).
+    built and stored; any other node reads as ``RisTable(0, [alpha])``.
+    Errors come in a fixed order: a vertex outside the tree (InputError),
+    then a prime leaf anywhere in the tree that is not chordal
+    (UnsupportedGraphClassError), then a dependent ``i`` (InputError).
     """
     imask = t.check_vertex_set(i)
-    tables = _Tables(t, subtree_alpha(t))
+    tables = _Tables(subtree_alpha(t))
     nodes = t.nodes
     for u in reversed(_footprint(t, imask)):
         node = nodes[u]
         if node.kind == LEAF:
             base = (imask & node.vmask).bit_count()
             if node.is_trivial_leaf:
-                tables[u] = RisTable(base=base, values=[1] * (base + 1))
+                tables[u] = RisTable(base, [1] * (base + 1))
             else:
                 values = chordal.leaf_ris_table(node.leaf_graph,
                                                 _leaf_local_ids(t, u, imask))
-                tables[u] = RisTable(base=base, values=values)
+                tables[u] = RisTable(base, values)
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:
@@ -195,6 +201,12 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
     return tables
 
 
+def check_token_bound(k: int, size: int) -> None:
+    """Raise InputError unless 0 <= k <= ``size``, the size of the set."""
+    if not 0 <= k <= size:
+        raise InputError(f"token bound k={k} is outside 0..{size}, the size of the set")
+
+
 def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
     """Top-down pass over the set's tables ``ris``, for 0 <= k <= its size.
 
@@ -203,9 +215,7 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
     visited, and they are all occupied: below a node of freedom 0 every
     freedom is 0 and no join blocks its empty side.
     """
-    if not 0 <= k <= ris[t.root].base:
-        raise InputError(f"token bound k={k} is outside 0..{ris[t.root].base}, "
-                         "the size of the set")
+    check_token_bound(k, ris[t.root].base)
     nodes = t.nodes
     freedom = [0] * len(nodes)
     freedom[t.root] = k
@@ -222,7 +232,7 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
             blocked |= nodes[emp].vmask
             stack.append(occ)
         elif node.kind == UNION:
-            x, y = ris[u].tuples[freedom[u]]
+            x, y = union_split(ris[node.left], ris[node.right], freedom[u])
             freedom[node.left], freedom[node.right] = x, y
             if x:
                 stack.append(node.left)

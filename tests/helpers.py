@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple, Optional
 
 from isrecon import Graph, gen_cograph
 from isrecon.chordal import is_dominating, leaf_ris_table
 from isrecon.cotree import JOIN, LEAF, UNION, Cotree, CotreeNode
-from isrecon.engine import RisTable, ris_join, ris_union
+from isrecon.engine import RisTable, ris_join
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle
 
@@ -225,14 +226,51 @@ def cograph_corpus(count: int, max_n: int, seed_base: int = 0):
         yield seed, g, t
 
 
+class ReferenceTable(NamedTuple):
+    """A table with, at a union, the greatest stable pair of every bound."""
+
+    base: int
+    values: list[int]
+    tuples: Optional[list[tuple[int, int]]] = None
+
+
+def reference_ris_union(ris_v, ris_w) -> ReferenceTable:
+    """The union sweep that stores a pair per bound, kept apart from the engine.
+
+    For each bound ell (descending), iterate a := max(0, ell - W[b]),
+    b := max(0, ell - V[a]) to the fixpoint; the pair only ever decreases,
+    so the whole table costs O(base) amortized.
+    """
+    vv, wv = ris_v.values, ris_w.values
+    base = ris_v.base + ris_w.base
+    a, b = ris_v.base, ris_w.base
+    values = [0] * (base + 1)
+    tuples: list[tuple[int, int]] = [(0, 0)] * (base + 1)
+    for ell in range(base, -1, -1):
+        while True:
+            na = ell - wv[b]
+            if na < 0:
+                na = 0
+            nb = ell - vv[a]
+            if nb < 0:
+                nb = 0
+            if na == a and nb == b:
+                break
+            a, b = na, nb
+        values[ell] = vv[a] + wv[b]
+        tuples[ell] = (a, b)
+    return ReferenceTable(base=base, values=values, tuples=tuples)
+
+
 def full_ris_tables(t, i) -> dict:
-    """Reference table pass: every node's table, in postorder over the whole tree."""
+    """Reference table pass: every node's table, in postorder over the whole
+    tree, with each union's pairs from ``reference_ris_union``."""
     imask = t.check_vertex_set(i)
     tables = {}
     for u in t.postorder():
         node = t.nodes[u]
         if node.kind == UNION:
-            tables[u] = ris_union(tables[node.left], tables[node.right])
+            tables[u] = reference_ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:
             tables[u] = ris_join(tables[node.left], tables[node.right])
         else:

@@ -15,7 +15,7 @@ from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
 from isrecon.chordal import leaf_ris_table
 from isrecon.cotree import build_maximal_cotree
 from isrecon.engine import (LEAF_UNREACHABLE, RisTable, compute_freedom,
-                            compute_ris_tables, ris_union)
+                            compute_ris_tables, ris_union, union_split)
 from isrecon.graph import bits, mask_of
 from isrecon.oracle import get_oracle, oracle_diameter, oracle_reach, oracle_ris_all
 from isrecon.witness import build_su_sequence
@@ -49,9 +49,9 @@ def test_criterion_1_union_table_regression(capsys):
         u = ris_union(v, w)
         best = min(best, time.perf_counter() - start)
     ok = (u.values == [10, 10, 10, 10, 10, 9, 7]
-          and u.tuples[6] == (3, 2)
-          and u.tuples[5] == (1, 0)
-          and u.tuples[4] == (0, 0)
+          and union_split(v, w, 6) == (3, 2)
+          and union_split(v, w, 5) == (1, 0)
+          and union_split(v, w, 4) == (0, 0)
           and best < 0.001)
     _report(capsys, "criterion 1: union-table regression", ok,
             f"{best * 1e6:.0f} us")

@@ -156,11 +156,77 @@ def test_tables_output(c4_file, capsys):
     assert "freedom=" in out and "blocked=" in out and "tuples=" in out
 
 
+# A star 0-{1, 2}, an edge 3-4 and the isolated vertices 5 and 6: unions
+# nested two deep at the root and one deep under the star's join.
+GOLDEN_GRAPH = "7 3\n0 1\n0 2\n3 4\n"
+GOLDEN_DUMP = """\
+union #0 |V|=7 V=[0, 1, 2, 3, 4, 5, 6]
+  union #5 |V|=5 V=[0, 1, 2, 3, 4]
+    join #1 |V|=3 V=[0, 1, 2]
+      leaf(trivial) #9 |V|=1 V=[0]
+      union #10 |V|=2 V=[1, 2]
+        leaf(trivial) #11 |V|=1 V=[1]
+        leaf(trivial) #12 |V|=1 V=[2]
+    join #2 |V|=2 V=[3, 4]
+      leaf(trivial) #7 |V|=1 V=[3]
+      leaf(trivial) #8 |V|=1 V=[4]
+  union #6 |V|=2 V=[5, 6]
+    leaf(trivial) #3 |V|=1 V=[5]
+    leaf(trivial) #4 |V|=1 V=[6]
+"""
+GOLDEN_NODES = {
+    # the star's center holds a token, so its join's table is not flat
+    ("0,3,5", "3"): """\
+node 0: base=3 values=[5, 5, 5, 5] freedom=3 blocked=False tuples=[(0, 0), (0, 0), (0, 0), (1, 0)]
+node 5: base=2 values=[3, 3, 2] freedom=1 blocked=False tuples=[(0, 0), (0, 0), (1, 1)]
+node 1: base=1 values=[2, 1] freedom=0 blocked=False
+node 9: base=1 values=[1, 1] freedom=0 blocked=False
+node 10: base=0 values=[2] freedom=0 blocked=False tuples=[(0, 0)]
+node 11: base=0 values=[1] freedom=0 blocked=False
+node 12: base=0 values=[1] freedom=0 blocked=False
+node 2: base=1 values=[1, 1] freedom=0 blocked=False
+node 7: base=1 values=[1, 1] freedom=0 blocked=False
+node 8: base=0 values=[1] freedom=0 blocked=False
+node 6: base=1 values=[2, 2] freedom=0 blocked=False tuples=[(0, 0), (0, 0)]
+node 3: base=1 values=[1, 1] freedom=0 blocked=False
+node 4: base=0 values=[1] freedom=0 blocked=False
+""",
+    # every table is flat; the star's leaves hold a token each and block its center
+    ("1,2,3,5", "4"): """\
+node 0: base=4 values=[5, 5, 5, 5, 5] freedom=4 blocked=False tuples=[(0, 0), (0, 0), (0, 0), (1, 0), (2, 1)]
+node 5: base=3 values=[3, 3, 3, 3] freedom=2 blocked=False tuples=[(0, 0), (0, 0), (1, 0), (2, 1)]
+node 1: base=2 values=[2, 2, 2] freedom=1 blocked=False
+node 9: base=0 values=[1] freedom=0 blocked=True
+node 10: base=2 values=[2, 2, 2] freedom=1 blocked=False tuples=[(0, 0), (0, 0), (1, 1)]
+node 11: base=1 values=[1, 1] freedom=0 blocked=False
+node 12: base=1 values=[1, 1] freedom=0 blocked=False
+node 2: base=1 values=[1, 1] freedom=0 blocked=False
+node 7: base=1 values=[1, 1] freedom=0 blocked=False
+node 8: base=0 values=[1] freedom=0 blocked=False
+node 6: base=1 values=[2, 2] freedom=1 blocked=False tuples=[(0, 0), (0, 0)]
+node 3: base=1 values=[1, 1] freedom=0 blocked=False
+node 4: base=0 values=[1] freedom=0 blocked=False
+""",
+}
+
+
+@pytest.mark.parametrize("a, k", list(GOLDEN_NODES))
+def test_tables_output_is_pinned(tmp_path, capsys, a, k):
+    p = tmp_path / "golden.g"
+    p.write_text(GOLDEN_GRAPH)
+    assert main(["tables", str(p), a, "-k", k]) == 0
+    assert capsys.readouterr() == (GOLDEN_DUMP + GOLDEN_NODES[a, k], "")
+
+
 def test_every_command_answers_on_the_empty_graph(tmp_path, capsys):
     p = tmp_path / "empty.g"
     p.write_text("0 0\n")
     assert main(["tables", str(p), "-", "-k", "0"]) == 0
     assert capsys.readouterr() == ("", "")
+    # a bound above the empty set's size is refused as on a one-vertex graph
+    assert main(["tables", str(p), "-", "-k", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: token bound k=1 is outside 0..0, the size of the set\n")
     for cmd in ("decide", "witness", "oracle"):
         assert main([cmd, str(p), "-", "-", "-k", "0"]) == 0, cmd
     assert capsys.readouterr().err == ""

@@ -6,10 +6,10 @@ import pytest
 
 from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
                      decide, gen_cograph, gen_composed, tj_decide)
-from isrecon.cotree import UNION, build_maximal_cotree
+from isrecon.cotree import build_maximal_cotree
 from isrecon.engine import (FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD,
                             compute_freedom, compute_ris_tables, ris_join,
-                            ris_union)
+                            ris_union, union_split)
 from isrecon.graph import bits
 from isrecon.oracle import get_oracle
 from isrecon.witness import build_su_sequence, sequence_to_max
@@ -23,25 +23,26 @@ def table(base, values):
 
 def test_ris_union_regression_table():
     # two components with per-threshold maxima [6,5,5,4] and [4,3,3,3]
-    u = ris_union(table(3, [6, 5, 5, 4]), table(3, [4, 3, 3, 3]))
-    assert u.values == [10, 10, 10, 10, 10, 9, 7]
-    assert u.tuples[6] == (3, 2)
-    assert u.tuples[5] == (1, 0)
-    assert u.tuples[4] == (0, 0)
+    v, w = table(3, [6, 5, 5, 4]), table(3, [4, 3, 3, 3])
+    assert ris_union(v, w).values == [10, 10, 10, 10, 10, 9, 7]
+    assert union_split(v, w, 6) == (3, 2)
+    assert union_split(v, w, 5) == (1, 0)
+    assert union_split(v, w, 4) == (0, 0)
 
 
 def test_ris_union_empty_sides():
-    u = ris_union(table(0, [3]), table(0, [2]))
+    v, w = table(0, [3]), table(0, [2])
+    u = ris_union(v, w)
     assert u.base == 0
     assert u.values == [5]
-    assert u.tuples == [(0, 0)]
+    assert union_split(v, w, 0) == (0, 0)
 
 
 def test_ris_union_single_tokens():
-    u = ris_union(table(1, [1, 1]), table(1, [1, 1]))
-    assert u.values == [2, 2, 2]
-    assert u.tuples[2] == (1, 1)
-    assert u.tuples[1] == (0, 0)
+    v = w = table(1, [1, 1])
+    assert ris_union(v, w).values == [2, 2, 2]
+    assert union_split(v, w, 2) == (1, 1)
+    assert union_split(v, w, 1) == (0, 0)
 
 
 def test_ris_join_carries_occupied_child():
@@ -99,8 +100,7 @@ def test_compute_ris_tables_builds_only_the_footprint(g):
             # a missed node reads as its subtree's alpha, and is not stored
             vm = t.nodes[u].vmask
             alpha = max((s & vm).bit_count() for s in sets)
-            assert tabs[u].base == 0 and tabs[u].values == [alpha]
-            assert tabs[u].tuples == ([(0, 0)] if t.nodes[u].kind == UNION else None)
+            assert tabs[u] == (0, [alpha])
             assert u not in tabs
 
 

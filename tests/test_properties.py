@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
                      gen_composed, is_cograph, validate_tar_sequence)
 from isrecon.chordal import alpha_chordal, chordality, leaf_reachable
-from isrecon.cotree import build_maximal_cotree, realize
-from isrecon.engine import compute_freedom, compute_ris_tables
+from isrecon.cotree import UNION, build_maximal_cotree, realize
+from isrecon.engine import (RisTable, compute_freedom, compute_ris_tables, ris_union,
+                            union_split)
 from isrecon.graph import bits, is_independent, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph, bridge_max_sets
 
 from helpers import (full_freedom, full_ris_tables, leaf_graphs, maximal_sets,
-                     reference_cotree, with_twin)
+                     reference_cotree, reference_ris_union, with_twin)
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -191,9 +192,12 @@ def test_footprint_passes_match_the_full_passes(inst):
     ref = full_ris_tables(t, a)
     ref_freedom, ref_blocked = full_freedom(t, k, ref)
     for u in t.preorder():
+        node = t.nodes[u]
         assert tabs[u].base == ref[u].base
         assert tabs[u].values == ref[u].values
-        assert tabs[u].tuples == ref[u].tuples
+        if node.kind == UNION:
+            assert [union_split(tabs[node.left], tabs[node.right], ell)
+                    for ell in range(tabs[u].base + 1)] == ref[u].tuples
         assert vals.freedom[u] == ref_freedom[u]
         assert (t.nodes[u].vmask & ~vals.blocked == 0) == ref_blocked[u]
 
@@ -212,11 +216,12 @@ def test_union_tuples_are_maximal_fixpoints(inst):
     tabs = compute_ris_tables(t, a)
     for u in t.preorder():
         node = t.nodes[u]
-        if tabs[u].tuples is None or node.is_leaf:
+        if node.kind != UNION:
             continue
         tv, tw = tabs[node.left], tabs[node.right]
-        for ell, (x, y) in enumerate(tabs[u].tuples):
-            # the recorded tuple is itself a fixpoint ...
+        for ell in range(tabs[u].base + 1):
+            x, y = union_split(tv, tw, ell)
+            # the split is itself a fixpoint ...
             assert x == max(0, ell - tw.values[y])
             assert y == max(0, ell - tv.values[x])
             # ... and dominates every other fixpoint componentwise
@@ -225,6 +230,35 @@ def test_union_tuples_are_maximal_fixpoints(inst):
                     if xx == max(0, ell - tw.values[yy]) \
                             and yy == max(0, ell - tv.values[xx]):
                         assert x >= xx and y >= yy
+
+
+def test_the_root_split_is_the_greater_of_two_fixpoints():
+    g, a, _, _ = _TWO_FIXPOINTS
+    t = build_maximal_cotree(g)
+    tabs = compute_ris_tables(t, a)
+    root = t.nodes[t.root]
+    assert root.kind == UNION
+    assert union_split(tabs[root.left], tabs[root.right], 2) == (1, 1)
+
+
+@st.composite
+def child_tables(draw):
+    """A valid table: non-increasing, every entry at least its base; often flat."""
+    base = draw(st.integers(min_value=0, max_value=8))
+    low = draw(st.integers(min_value=base, max_value=base + 6))
+    if draw(st.booleans()):
+        return RisTable(base, [low] * (base + 1))
+    steps = draw(st.lists(st.integers(min_value=0, max_value=3),
+                          min_size=base, max_size=base))
+    return RisTable(base, [low + sum(steps[ell:]) for ell in range(base + 1)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(child_tables(), child_tables())
+def test_union_tables_and_splits_match_the_stored_pair_sweep(v, w):
+    ref = reference_ris_union(v, w)
+    assert ris_union(v, w) == (ref.base, ref.values)
+    assert [union_split(v, w, ell) for ell in range(ref.base + 1)] == ref.tuples
 
 
 @SETTINGS

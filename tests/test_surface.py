@@ -87,7 +87,7 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
 
 # (record, positional fields, the same as keywords, defaulted fields)
 RECORDS = [
-    (RisTable, (2, [3, 2, 1]), {"base": 2, "values": [3, 2, 1]}, {"tuples": None}),
+    (RisTable, (2, [3, 2, 1]), {"base": 2, "values": [3, 2, 1]}, {}),
     (NodeValues, ([1, 0], 4), {"freedom": [1, 0], "blocked": 4}, {}),
     (Decision, (True,), {"reachable": True}, {"failure_witness": None}),
     (TarSequence, (frozenset({0}), [("add", 1)], 1),
