@@ -12,7 +12,7 @@ once: its independence number is stored on the immutable ``Graph``.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError, UnsupportedGraphClassError
 from .graph import Graph, bits, is_independent
@@ -84,9 +84,10 @@ def alpha_chordal(g: Graph, peo: EliminationOrdering) -> tuple[int, frozenset]:
     return chosen.bit_count(), frozenset(bits(chosen))
 
 
-def is_dominating(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every vertex is in ``s`` or adjacent to a member of ``s``."""
-    smask = g.check_vertex_set(s)
+def is_dominating(g: Graph, smask: int) -> bool:
+    """True iff every vertex is in the mask ``smask`` or adjacent to a member."""
+    if smask & ~g.full_mask:
+        raise InputError(f"vertex mask out of range for n={g.n}")
     covered = smask
     for v in bits(smask):
         covered |= g.adj[v]
@@ -115,34 +116,33 @@ def pinned(values: list[int], ell: int) -> bool:
     return 0 < ell == len(values) - 1 == values[ell]
 
 
-def leaf_reachable(g: Graph, a: Iterable[int], b: Iterable[int], ell: int) -> bool:
-    """TAR reachability between independent sets of a chordal graph.
+def leaf_reachable(g: Graph, amask: int, bmask: int, ell: int) -> bool:
+    """TAR reachability between independent sets of a chordal graph, as masks.
 
     Distinct sets are mutually reachable at threshold ``ell`` unless one of
     them is pinned there: a dominating set of size exactly ``ell`` is
     isolated in the solution graph.
     """
-    amask = g.check_vertex_set(a)
-    bmask = g.check_vertex_set(b)
+    if (amask | bmask) & ~g.full_mask:
+        raise InputError(f"vertex mask out of range for n={g.n}")
     if amask.bit_count() < ell or bmask.bit_count() < ell:
         raise InputError("both sets must have size at least the threshold")
-    ta, tb = leaf_ris_table(g, bits(amask)), leaf_ris_table(g, bits(bmask))
+    ta, tb = leaf_ris_table(g, amask), leaf_ris_table(g, bmask)
     return amask == bmask or not (pinned(ta, ell) or pinned(tb, ell))
 
 
-def leaf_ris_table(g: Graph, i: Iterable[int]) -> list[int]:
+def leaf_ris_table(g: Graph, imask: int) -> list[int]:
     """Maximum reachable independent-set size per threshold, for a chordal leaf.
 
-    Entry ``ell`` is the starting size when the start set is a dominating set
-    of exactly ``ell`` tokens, which ``pinned`` reads back, and the graph's
-    independence number otherwise.  Index range is ``0..|i|``.
+    Entry ``ell`` is the starting size when the start mask ``imask`` is a
+    dominating set of exactly ``ell`` tokens, which ``pinned`` reads back,
+    and the graph's independence number otherwise.  Index range ``0..|imask|``.
     """
-    imask = g.check_vertex_set(i)
-    if not is_independent(g, bits(imask)):
+    if not is_independent(g, imask):
         raise InputError("leaf_ris_table requires an independent set")
     alpha = _leaf_alpha(g)
     size = imask.bit_count()
     values = [alpha] * (size + 1)
-    if size > 0 and is_dominating(g, bits(imask)):
+    if size > 0 and is_dominating(g, imask):
         values[size] = size
     return values

@@ -15,7 +15,7 @@ import sys
 from . import engine, oracle as oraclemod, witness as witnessmod
 from .cotree import UNION, build_maximal_cotree
 from .errors import InputError, UnreachableError, UnsupportedGraphClassError
-from .graph import Graph, is_independent, vertex_set
+from .graph import Graph, mask_of, vertex_set
 
 EXIT_REACHABLE = 0
 EXIT_UNREACHABLE = 1
@@ -154,12 +154,12 @@ def parse_instance(graph_file: str, a_spec: str, b_spec: str, k: int,
                    model: str = oraclemod.TAR
                    ) -> tuple[Graph, frozenset, frozenset, int]:
     """The graph, sets A and B, and the TAR token bound (|A| - 1 under TJ)."""
+    if k < 0:
+        raise InputError(f"token bound k={k} is below 0")
     g = load_graph(graph_file)
     a = parse_set(a_spec, g.n, "set A")
     b = parse_set(b_spec, g.n, "set B")
-    for name, s in (("A", a), ("B", b)):
-        if not is_independent(g, s):
-            raise InputError(f"set {name} is not independent")
+    engine._check_independent(g, mask_of(a), mask_of(b))
     if model == oraclemod.TJ:
         if len(a) != len(b):
             raise InputError("the TJ model requires |A| = |B|")
@@ -217,7 +217,7 @@ def cmd_tables(args) -> int:
     if g.n == 0:  # no cotree, so no nodes to print
         return EXIT_REACHABLE
     t = build_maximal_cotree(g)
-    ris = engine.compute_ris_tables(t, a)
+    ris = engine.compute_ris_tables(t, mask_of(a))
     vals = engine.compute_freedom(t, k, ris)
     print(t.dump())
     for u in t.preorder():
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_b:
             sp.add_argument("b", help="set B: comma-separated ids or @file")
         sp.add_argument("-k", type=int, default=0,
-                        help="token lower bound (TAR model)")
+                        help="token lower bound (TAR model), at least 0")
 
     sp = sub.add_parser("decide", help="decide reachability")
     instance_args(sp)

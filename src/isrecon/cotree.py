@@ -16,7 +16,7 @@ every prime piece is a union of twin classes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import InputError, InternalError
 from .graph import Graph, bits, mask_of
@@ -86,12 +86,10 @@ class Cotree:
     def leaves(self) -> Iterator[int]:
         return (u for u in self.preorder() if self.nodes[u].is_leaf)
 
-    def check_vertex_set(self, s: Iterable[int]) -> int:
-        """Validate a vertex set against this tree's vertices; return its mask."""
-        m = self.graph.check_vertex_set(s)
+    def check_vertex_set(self, m: int) -> None:
+        """Raise InputError unless the vertex mask ``m`` lies in this tree."""
         if m & ~self.nodes[self.root].vmask:
-            raise InputError("the set has vertices outside the cotree")
-        return m
+            raise InputError("vertex mask out of range for the cotree")
 
     def all_leaves_trivial(self) -> bool:
         return all(self.nodes[u].is_trivial_leaf for u in self.leaves())
@@ -271,7 +269,7 @@ def build_maximal_cotree(g: Graph) -> Cotree:
             else:
                 # prime leaf; a prime root is the graph itself
                 mask = nodes[u].vmask
-                nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(bits(mask))
+                nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(mask)
                 continue
             # The largest quotient part takes the vertices the others leave,
             # so only the smaller ones gather their classes.

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional
 from . import chordal
 from .cotree import Cotree, JOIN, LEAF, UNION, build_maximal_cotree
 from .errors import InputError, InternalError
-from .graph import Graph, bits, is_independent
+from .graph import Graph, bits, is_independent, mask_of
 
 FREEDOM_MISMATCH = "freedom-mismatch"
 LEAF_UNREACHABLE = "leaf-unreachable"
@@ -122,10 +122,10 @@ def ris_join(ris_v: RisTable, ris_w: RisTable) -> RisTable:
     return RisTable(occ.base, values)
 
 
-def _leaf_local_ids(t: Cotree, u: int, mask: int) -> list[int]:
-    """Leaf-graph ids of ``mask`` in leaf ``u``: ranks within its vertex mask."""
+def _leaf_local_mask(t: Cotree, u: int, mask: int) -> int:
+    """``mask`` in leaf ``u``'s graph ids: ranks within the leaf's vertex mask."""
     vmask = t.nodes[u].vmask
-    return [(vmask & ((1 << v) - 1)).bit_count() for v in bits(mask & vmask)]
+    return mask_of((vmask & ((1 << v) - 1)).bit_count() for v in bits(mask & vmask))
 
 
 def subtree_alpha(t: Cotree) -> list[int]:
@@ -146,7 +146,7 @@ def subtree_alpha(t: Cotree) -> list[int]:
             elif node.kind == JOIN:
                 alpha[u] = max(alpha[node.left], alpha[node.right])
             elif node.leaf_graph is not None:
-                alpha[u] = chordal.leaf_ris_table(node.leaf_graph, ())[0]
+                alpha[u] = chordal.leaf_ris_table(node.leaf_graph, 0)[0]
         t._alpha = alpha
     return t._alpha
 
@@ -168,16 +168,16 @@ def _footprint(t: Cotree, mask: int) -> list[int]:
     return order
 
 
-def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
-    """Bottom-up pass: the table of every cotree node for start set ``i``.
+def compute_ris_tables(t: Cotree, imask: int) -> dict[int, RisTable]:
+    """Bottom-up pass: the table of every cotree node for the start set ``imask``.
 
-    Only the footprint of ``i`` (the root and the nodes that meet ``i``) is
+    Only the footprint of the mask (the root and the nodes that meet it) is
     built and stored; any other node reads as ``RisTable(0, [alpha])``.
     Errors come in a fixed order: a vertex outside the tree (InputError),
     then a prime leaf anywhere in the tree that is not chordal
-    (UnsupportedGraphClassError), then a dependent ``i`` (InputError).
+    (UnsupportedGraphClassError), then a dependent ``imask`` (InputError).
     """
-    imask = t.check_vertex_set(i)
+    t.check_vertex_set(imask)
     tables = _Tables(subtree_alpha(t))
     nodes = t.nodes
     for u in reversed(_footprint(t, imask)):
@@ -188,7 +188,7 @@ def compute_ris_tables(t: Cotree, i: Iterable[int]) -> dict[int, RisTable]:
                 tables[u] = RisTable(base, [1] * (base + 1))
             else:
                 values = chordal.leaf_ris_table(node.leaf_graph,
-                                                _leaf_local_ids(t, u, imask))
+                                                _leaf_local_mask(t, u, imask))
                 tables[u] = RisTable(base, values)
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right])
@@ -241,12 +241,10 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
     return NodeValues(freedom=freedom, blocked=blocked)
 
 
-def _independent_masks(g: Graph, a: Iterable[int], b: Iterable[int]) -> tuple[int, int]:
-    masks = g.check_vertex_set(a), g.check_vertex_set(b)
-    for name, m in zip("AB", masks):
-        if not is_independent(g, bits(m)):
+def _check_independent(g: Graph, amask: int, bmask: int) -> None:
+    for name, m in (("A", amask), ("B", bmask)):
+        if not is_independent(g, m):
             raise InputError(f"set {name} is not independent")
-    return masks
 
 
 def _decide_tree(t: Cotree, amask: int, bmask: int,
@@ -258,8 +256,8 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
     checks read only the footprint of A | B, in preorder: off it, both
     freedoms are 0 and no leaf meets A ^ B.
     """
-    ris_a = compute_ris_tables(t, bits(amask))
-    ris_b = compute_ris_tables(t, bits(bmask))
+    ris_a = compute_ris_tables(t, amask)
+    ris_b = compute_ris_tables(t, bmask)
     vals_a = compute_freedom(t, k, ris_a)
     vals_b = compute_freedom(t, k, ris_b)
     order = _footprint(t, amask | bmask)
@@ -276,9 +274,9 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
     return Decision(True), vals_a
 
 
-def decide(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> Decision:
-    """Decide whether ``b`` is TAR-reachable from ``a`` at token bound ``k``."""
-    amask, bmask = _independent_masks(g, a, b)
+def _decide_masks(g: Graph, amask: int, bmask: int, k: int) -> Decision:
+    """``decide`` on the two sets' vertex masks."""
+    _check_independent(g, amask, bmask)
     if k <= 0:
         return Decision(True)
     if amask.bit_count() < k or bmask.bit_count() < k:
@@ -286,10 +284,14 @@ def decide(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> Decision:
     return _decide_tree(build_maximal_cotree(g), amask, bmask, k)[0]
 
 
+def decide(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> Decision:
+    """Decide whether ``b`` is TAR-reachable from ``a`` at token bound ``k``."""
+    return _decide_masks(g, g.check_vertex_set(a), g.check_vertex_set(b), k)
+
+
 def tj_decide(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     """Token-jumping reachability between equal-size independent sets."""
-    amask = g.check_vertex_set(a)
-    bmask = g.check_vertex_set(b)
+    amask, bmask = g.check_vertex_set(a), g.check_vertex_set(b)
     if amask.bit_count() != bmask.bit_count():
         raise InputError("token jumping requires equal-size sets")
-    return decide(g, bits(amask), bits(bmask), amask.bit_count() - 1).reachable
+    return _decide_masks(g, amask, bmask, amask.bit_count() - 1).reachable

@@ -1,9 +1,9 @@
 """Immutable simple undirected graphs over dense 0-based vertex ids.
 
-Adjacency is stored as one bitmask per vertex, which keeps membership tests
-and neighborhood unions cheap even for dense graphs with thousands of
-vertices.  Induced subgraphs carry an ``origin`` map back to the ids of the
-graph they were ultimately extracted from, and extraction composes.
+Adjacency is one bitmask per vertex, and below the package root so is every
+vertex set (bit v is vertex v), which keeps membership tests and unions cheap.
+Induced subgraphs carry an ``origin`` map back to the ids of the graph they
+were ultimately extracted from, and extraction composes.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def check_vertex_set(self, s: Iterable[int]) -> int:
-        """Validate a vertex set against this graph; return it as a bitmask."""
+        """Validate an iterable of vertex ids; return it as a bitmask."""
         m = 0
         for v in s:
             if not (0 <= v < self.n):
@@ -100,13 +100,14 @@ class Graph:
             m |= 1 << v
         return m
 
-    def induced(self, s: Iterable[int]) -> "Graph":
-        """The subgraph induced by ``s``, with ids renumbered densely.
+    def induced(self, smask: int) -> "Graph":
+        """The subgraph induced by the vertex mask ``smask``, ids renumbered densely.
 
         The result's ``origin`` maps back to the ids of the graph this one
         was originally extracted from, so extraction composes.
         """
-        smask = self.check_vertex_set(s)
+        if smask & ~self.full_mask:
+            raise InputError(f"vertex mask out of range for n={self.n}")
         local_ids = list(bits(smask))
         index = {v: i for i, v in enumerate(local_ids)}
         adj = []
@@ -119,9 +120,10 @@ class Graph:
         return Graph(len(local_ids), adj, origin)
 
 
-def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    """True iff no two members of ``s`` are adjacent in ``g``."""
-    smask = g.check_vertex_set(s)
+def is_independent(g: Graph, smask: int) -> bool:
+    """True iff no two members of the vertex mask ``smask`` are adjacent in ``g``."""
+    if smask & ~g.full_mask:
+        raise InputError(f"vertex mask out of range for n={g.n}")
     for v in bits(smask):
         if g.adj[v] & smask:
             return False

@@ -53,7 +53,7 @@ class SolutionOracle:
 
     def check_set(self, s: Iterable[int]) -> int:
         m = self.g.check_vertex_set(s)
-        if not is_independent(self.g, bits(m)):
+        if not is_independent(self.g, m):
             raise InputError("oracle queries require independent sets")
         return m
 

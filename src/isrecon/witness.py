@@ -12,15 +12,15 @@ each subtree's alpha from entry 0 of its RIS table.
 from __future__ import annotations
 
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 from typing import Iterable, NamedTuple
 
 from .cotree import Cotree, JOIN, build_maximal_cotree, restrict
-from .engine import (NodeValues, RisTable, _decide_tree, _independent_masks,
+from .engine import (NodeValues, RisTable, _check_independent, _decide_tree,
                      compute_ris_tables, subtree_alpha)
 from .errors import (InputError, InternalError, UnreachableError,
                      UnsupportedGraphClassError)
-from .graph import Graph, bits, is_independent, mask_of, vertex_set
+from .graph import Graph, bits, is_independent, vertex_set
 
 
 class TarSequence(NamedTuple):
@@ -46,9 +46,9 @@ class TarSequence(NamedTuple):
         return out
 
 
-def _end_mask(seq: TarSequence) -> int:
-    """The last set of a sequence of valid moves, as a bitmask."""
-    return reduce(xor, (1 << v for _, v in seq.steps), mask_of(seq.start))
+def _end_mask(start: int, steps: list[tuple[str, int]]) -> int:
+    """The last set of valid moves ``steps`` from the mask ``start``."""
+    return reduce(xor, (1 << v for _, v in steps), start)
 
 
 def validate_tar_sequence(g: Graph, seq: TarSequence) -> int:
@@ -63,11 +63,9 @@ def validate_tar_sequence(g: Graph, seq: TarSequence) -> int:
             raise InternalError(f"vertex {v} is outside the graph")
         return 1 << v
 
-    cur = 0
-    for v in seq.start:
-        cur |= bit(v)
+    cur = reduce(or_, map(bit, seq.start), 0)
     size = cur.bit_count()
-    if size < seq.k or not is_independent(g, bits(cur)):
+    if size < seq.k or not is_independent(g, cur):
         raise InternalError("the start set is not independent with k tokens")
     for op, v in seq.steps:
         b = bit(v)
@@ -105,15 +103,15 @@ class SuSequence(NamedTuple):
         return out
 
 
-def build_su_sequence(t: Cotree, u: int, i: Iterable[int]) -> SuSequence:
-    """Construct the monotone climb for subtree ``u`` starting from ``i``.
+def build_su_sequence(t: Cotree, u: int, imask: int) -> SuSequence:
+    """Construct the monotone climb for subtree ``u`` from the vertex mask ``imask``.
 
     Leaves contribute at most one addition; a join node may append one final
     side-switch; a union node interleaves its children's climbs, advancing
     whichever child still improves at the largest surviving threshold (the
     left child on ties).
     """
-    return _su_sequence(t, u, compute_ris_tables(t, i))
+    return _su_sequence(t, u, compute_ris_tables(t, imask))
 
 
 def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
@@ -180,14 +178,14 @@ def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
     return SuSequence(vertex_set(start), steps)
 
 
-def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
-    """Expand the root climb into a k-TAR-sequence from ``i`` to a maximum set.
+def sequence_to_max(t: Cotree, imask: int, k: int) -> TarSequence:
+    """Expand the root climb into a k-TAR-sequence from ``imask`` to a maximum set.
 
     Requires that a maximum independent set is reachable at threshold ``k``
     (true after restriction to the accessible subgraph); the result has
-    length at most 2n - |i| - alpha.
+    length at most 2n - |imask| - alpha.
     """
-    tables = compute_ris_tables(t, i)
+    tables = compute_ris_tables(t, imask)
     root = tables[t.root]
     kk = max(k, 0)
     if kk > root.base or root.values[kk] != root.values[0]:
@@ -202,8 +200,8 @@ def sequence_to_max(t: Cotree, i: Iterable[int], k: int) -> TarSequence:
     return TarSequence(su.start, steps, k)
 
 
-def accessible_subgraph(t: Cotree, values_a: NodeValues) -> frozenset:
-    """All vertices that some reachable independent set contains.
+def accessible_subgraph(t: Cotree, values_a: NodeValues) -> int:
+    """The mask of all vertices that some reachable independent set contains.
 
     ``values_a`` is the top-down pass of a start set at its token bound.  A
     vertex is inaccessible exactly when its leaf sits below the empty side
@@ -213,26 +211,24 @@ def accessible_subgraph(t: Cotree, values_a: NodeValues) -> frozenset:
     if not t.all_leaves_trivial():
         raise UnsupportedGraphClassError(
             "accessibility analysis requires single-vertex leaves")
-    return vertex_set(t.nodes[t.root].vmask & ~values_a.blocked)
+    return t.nodes[t.root].vmask & ~values_a.blocked
 
 
-def bridge_max_sets(t: Cotree, a_max: Iterable[int], b_max: Iterable[int],
-                    k: int) -> TarSequence:
-    """A k-TAR-sequence between two mutually reachable maximum sets.
+def bridge_max_sets(t: Cotree, amask: int, bmask: int, k: int) -> TarSequence:
+    """A k-TAR-sequence between two mutually reachable maximum sets, as masks.
 
     One preorder walk skips every subtree where the two sets agree; at a
     join whose sides the two sets occupy differently, it removes the first
     set's side and adds the second's.  The length is exactly the symmetric
     difference of the two sets.
     """
-    amask = t.check_vertex_set(a_max)
-    bmask = t.check_vertex_set(b_max)
+    t.check_vertex_set(amask | bmask)
     if not t.all_leaves_trivial():
         raise UnsupportedGraphClassError(
             "witness construction requires single-vertex leaves")
     alpha = subtree_alpha(t)[t.root]
     for m in (amask, bmask):
-        if m.bit_count() != alpha or not is_independent(t.graph, bits(m)):
+        if m.bit_count() != alpha or not is_independent(t.graph, m):
             raise InputError("bridging requires maximum independent sets")
     steps: list[tuple[str, int]] = []
     stack = [t.root]
@@ -258,7 +254,8 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     the climbs and the bridge all use that cotree, in the ids of ``g``.
     Raises UnreachableError when ``b`` is not reachable from ``a``.
     """
-    amask, bmask = _independent_masks(g, a, b)
+    amask, bmask = g.check_vertex_set(a), g.check_vertex_set(b)
+    _check_independent(g, amask, bmask)
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise UnreachableError("a set is smaller than the token bound")
     if g.n == 0:  # no cotree; the empty set is the only independent set
@@ -267,16 +264,16 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     verdict, vals_a = _decide_tree(t, amask, bmask, max(k, 0))
     if not verdict.reachable:
         raise UnreachableError("the target set is not reachable at this threshold")
-    r = restrict(t, mask_of(accessible_subgraph(t, vals_a)))
+    r = restrict(t, accessible_subgraph(t, vals_a))
     if (amask | bmask) & ~r.nodes[r.root].vmask:
         raise InternalError("an endpoint vertex was classified inaccessible")
-    seq_a = sequence_to_max(r, bits(amask), k)
-    top_a = _end_mask(seq_a)
+    seq_a = sequence_to_max(r, amask, k)
+    top_a = _end_mask(amask, seq_a.steps)
     if amask == bmask:
         return TarSequence(vertex_set(amask), [], k, top_a.bit_count())
-    seq_b = sequence_to_max(r, bits(bmask), k)
-    top_b = _end_mask(seq_b)
-    bridge = bridge_max_sets(r, bits(top_a), bits(top_b), k)
+    seq_b = sequence_to_max(r, bmask, k)
+    top_b = _end_mask(bmask, seq_b.steps)
+    bridge = bridge_max_sets(r, top_a, top_b, k)
     descent = [("add" if op == "remove" else "remove", v)
                for op, v in reversed(seq_b.steps)]
     result = TarSequence(vertex_set(amask), seq_a.steps + bridge.steps + descent,

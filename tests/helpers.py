@@ -128,7 +128,7 @@ def reference_cotree(g: Graph) -> Cotree:
                 if len(parts) > 1:
                     break
         else:
-            nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(bits(mask))
+            nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(mask)
             continue
         level = [new_node(LEAF, p) for p in parts]
         pending.extend((p, kind) for p in level)
@@ -164,7 +164,7 @@ def sample_triples(g: Graph, count: int, seed: int):
 
 def maximal_sets(g: Graph) -> list[int]:
     """The masks of the maximal independent sets of ``g``."""
-    return [m for m in get_oracle(g).sets if is_dominating(g, bits(m))]
+    return [m for m in get_oracle(g).sets if is_dominating(g, m)]
 
 
 def maximal_pairs(g: Graph, count: int, seed: int):
@@ -262,10 +262,10 @@ def reference_ris_union(ris_v, ris_w) -> ReferenceTable:
     return ReferenceTable(base=base, values=values, tuples=tuples)
 
 
-def full_ris_tables(t, i) -> dict:
+def full_ris_tables(t, imask: int) -> dict:
     """Reference table pass: every node's table, in postorder over the whole
     tree, with each union's pairs from ``reference_ris_union``."""
-    imask = t.check_vertex_set(i)
+    t.check_vertex_set(imask)
     tables = {}
     for u in t.postorder():
         node = t.nodes[u]
@@ -279,7 +279,7 @@ def full_ris_tables(t, i) -> dict:
                 tables[u] = RisTable(base, [1] * (base + 1))
             else:
                 local = [x for x, v in enumerate(bits(node.vmask)) if imask >> v & 1]
-                tables[u] = RisTable(base, leaf_ris_table(node.leaf_graph, local))
+                tables[u] = RisTable(base, leaf_ris_table(node.leaf_graph, mask_of(local)))
     return tables
 
 

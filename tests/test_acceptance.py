@@ -64,7 +64,7 @@ def test_criterion_2_oracle_equivalence_cographs(capsys):
         o = get_oracle(g)
         order = list(t.preorder())
         vmasks = [t.nodes[u].vmask for u in order]
-        node_graphs = {u: g.induced(bits(t.nodes[u].vmask)) for u in order}
+        node_graphs = {u: g.induced(t.nodes[u].vmask) for u in order}
         checked_ris: set[int] = set()
         for a, b, k in sample_triples(g, TRIPLES_PER_GRAPH, seed * 31 + 7):
             cases += 1
@@ -75,7 +75,7 @@ def test_criterion_2_oracle_equivalence_cographs(capsys):
             assert fast == slow, (seed, sorted(a), sorted(b), k)
             if len(a) < k or len(b) < k:
                 continue
-            tabs = compute_ris_tables(t, a)
+            tabs = compute_ris_tables(t, amask)
             vals = compute_freedom(t, k, tabs)
             for u, vm in zip(order, vmasks):
                 want = min((j & vm).bit_count() for j in family)
@@ -84,7 +84,7 @@ def test_criterion_2_oracle_equivalence_cographs(capsys):
                 if mask in checked_ris:
                     continue
                 checked_ris.add(mask)
-                tabs_i = compute_ris_tables(t, bits(mask))
+                tabs_i = compute_ris_tables(t, mask)
                 for u, vm in zip(order, vmasks):
                     gu = node_graphs[u]
                     local = [i for i, ov in enumerate(sorted(bits(vm)))
@@ -107,7 +107,7 @@ def test_criterion_3_oracle_equivalence_chordal(capsys):
             cases += 1
             assert decide(g, a, b, k).reachable == oracle_reach(g, a, b, k)[0]
         for a, _, _ in sample_triples(g, 3, seed + 5000):
-            assert leaf_ris_table(g, a) == oracle_ris_all(g, a)
+            assert leaf_ris_table(g, mask_of(a)) == oracle_ris_all(g, a)
     for seed in range(100):
         parts, total = [], 0
         while total < 8:
@@ -217,7 +217,7 @@ def test_criterion_8_su_sequence_structure(capsys):
             first = False
             for u in nodes:
                 a_u = frozenset(bits(amask & t.nodes[u].vmask))
-                su = build_su_sequence(t, u, a_u)
+                su = build_su_sequence(t, u, amask & t.nodes[u].vmask)
                 csets = su.sets
                 assert csets[0] == a_u                                # property 1
                 for i in range(len(csets) - 1):
@@ -226,7 +226,7 @@ def test_criterion_8_su_sequence_structure(capsys):
                     fresh = csets[j + 1] - csets[j]
                     for i in range(j + 1):
                         assert not (fresh & csets[i])                 # property 3
-                gu = g.induced(bits(t.nodes[u].vmask))
+                gu = g.induced(t.nodes[u].vmask)
                 alpha = max(s.bit_count() for s in get_oracle(gu).sets)
                 assert len(csets[-1]) == alpha
                 moves = sum(len(r) + len(ad) for r, ad in su.steps)

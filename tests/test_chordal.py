@@ -5,6 +5,7 @@ from isrecon import (Graph, InputError, UnsupportedGraphClassError, chordal,
 from isrecon.chordal import (alpha_chordal, chordality, is_dominating,
                              leaf_reachable, leaf_ris_table, pinned)
 from isrecon.cotree import build_maximal_cotree
+from isrecon.graph import mask_of
 
 from helpers import c4, complete, edgeless, p4
 
@@ -51,50 +52,50 @@ def test_alpha_chordal_requires_perfect_ordering():
 
 def test_is_dominating():
     g = p4()
-    assert is_dominating(g, [1, 2])
-    assert is_dominating(g, [1, 3])
-    assert not is_dominating(g, [0])
-    assert not is_dominating(g, [])
-    assert is_dominating(complete(3), [0])
+    assert is_dominating(g, mask_of([1, 2]))
+    assert is_dominating(g, mask_of([1, 3]))
+    assert not is_dominating(g, mask_of([0]))
+    assert not is_dominating(g, 0)
+    assert is_dominating(complete(3), mask_of([0]))
 
 
 def test_leaf_reachable_basic():
     g = p4()
     # {0,2} and {1,3} at threshold 1: {1,3} dominates at size... it does not
     # pin anything because neither has size exactly 1
-    assert leaf_reachable(g, [0, 2], [1, 3], 1)
-    assert leaf_reachable(g, [0, 2], [0, 2], 2)
-    assert leaf_reachable(g, [0], [3], 0)
+    assert leaf_reachable(g, mask_of([0, 2]), mask_of([1, 3]), 1)
+    assert leaf_reachable(g, mask_of([0, 2]), mask_of([0, 2]), 2)
+    assert leaf_reachable(g, mask_of([0]), mask_of([3]), 0)
 
 
 def test_leaf_reachable_dominating_pin():
     # in K3 every single vertex dominates, so distinct singletons are stuck at ell=1
     g = complete(3)
-    assert not leaf_reachable(g, [0], [1], 1)
-    assert leaf_reachable(g, [0], [1], 0)
-    assert leaf_reachable(g, [0], [0], 1)
+    assert not leaf_reachable(g, mask_of([0]), mask_of([1]), 1)
+    assert leaf_reachable(g, mask_of([0]), mask_of([1]), 0)
+    assert leaf_reachable(g, mask_of([0]), mask_of([0]), 1)
 
 
 def test_leaf_reachable_validates_inputs():
     g = p4()
     with pytest.raises(InputError):
-        leaf_reachable(g, [0, 1], [0, 2], 1)  # A not independent
+        leaf_reachable(g, mask_of([0, 1]), mask_of([0, 2]), 1)  # A not independent
     with pytest.raises(InputError):
-        leaf_reachable(g, [0], [0, 2], 2)  # |A| < ell
+        leaf_reachable(g, mask_of([0]), mask_of([0, 2]), 2)  # |A| < ell
     with pytest.raises(UnsupportedGraphClassError):
-        leaf_reachable(c4(), [0, 2], [1, 3], 1)
+        leaf_reachable(c4(), mask_of([0, 2]), mask_of([1, 3]), 1)
 
 
 def test_leaf_ris_table():
     g = p4()
-    assert leaf_ris_table(g, []) == [2]
-    assert leaf_ris_table(g, [0]) == [2, 2]        # {0} does not dominate
-    assert leaf_ris_table(g, [1]) == [2, 2]        # {1} misses vertex 3
-    assert leaf_ris_table(g, [1, 3]) == [2, 2, 2]  # dominating but already max
-    assert leaf_ris_table(complete(3), [0]) == [1, 1]
+    assert leaf_ris_table(g, 0) == [2]
+    assert leaf_ris_table(g, mask_of([0])) == [2, 2]        # {0} does not dominate
+    assert leaf_ris_table(g, mask_of([1])) == [2, 2]        # {1} misses vertex 3
+    assert leaf_ris_table(g, mask_of([1, 3])) == [2, 2, 2]  # dominating but already max
+    assert leaf_ris_table(complete(3), mask_of([0])) == [1, 1]
     # a dominating set strictly smaller than alpha pins its own entry
     star_plus = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert leaf_ris_table(star_plus, [0]) == [3, 1]
+    assert leaf_ris_table(star_plus, mask_of([0])) == [3, 1]
 
 
 def test_pinned_reads_the_last_entry_at_the_base():
@@ -106,12 +107,12 @@ def test_pinned_reads_the_last_entry_at_the_base():
     assert not pinned([3, 3], 1)         # not dominating
     assert pinned([1, 1], 1)             # a trivial leaf's table
     assert not pinned([1], 0)
-    assert pinned(leaf_ris_table(complete(3), [0]), 1)
+    assert pinned(leaf_ris_table(complete(3), mask_of([0])), 1)
 
 
 def test_leaf_ris_table_rejects_non_chordal():
     with pytest.raises(UnsupportedGraphClassError):
-        leaf_ris_table(c4(), [0])
+        leaf_ris_table(c4(), mask_of([0]))
 
 
 def test_decide_analyses_each_prime_leaf_once(monkeypatch):
@@ -152,6 +153,6 @@ def test_leaf_analysis_failure_is_not_stored():
     g = c4()
     for _ in range(2):
         with pytest.raises(UnsupportedGraphClassError):
-            leaf_ris_table(g, [0])
+            leaf_ris_table(g, mask_of([0]))
         with pytest.raises(UnsupportedGraphClassError):
-            leaf_reachable(g, [0, 2], [1, 3], 1)
+            leaf_reachable(g, mask_of([0, 2]), mask_of([1, 3]), 1)

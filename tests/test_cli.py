@@ -285,6 +285,17 @@ def test_token_bound_above_set_size_exits_2(c4_file):
     assert "Traceback" not in proc.stderr and "error" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["decide", "0,2", "0,2"], ["witness", "0,2", "0,2"], ["tables", "0,2"],
+    ["oracle", "0,2", "0,2"],
+], ids=lambda argv: argv[0])
+def test_negative_token_bound_exits_2(c4_file, capsys, argv):
+    cmd, *sets = argv
+    assert main([cmd, c4_file, *sets, "-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "token bound k=-1" in captured.err
+
+
 def test_non_ascii_digit_in_set_exits_2(c4_file):
     proc = run_cli("decide", c4_file, "0,\u00b2", "1", "-k", "1")
     assert proc.returncode == 2

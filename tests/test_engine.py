@@ -10,7 +10,7 @@ from isrecon.cotree import build_maximal_cotree
 from isrecon.engine import (FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD,
                             compute_freedom, compute_ris_tables, ris_join,
                             ris_union, union_split)
-from isrecon.graph import bits
+from isrecon.graph import mask_of
 from isrecon.oracle import get_oracle
 from isrecon.witness import build_su_sequence, sequence_to_max
 
@@ -64,24 +64,24 @@ def test_dependent_set_is_an_input_error(g):
     # 0 and 1 are adjacent, so the set meets both sides of a join node
     t = build_maximal_cotree(g)
     with pytest.raises(InputError, match="independent"):
-        compute_ris_tables(t, [0, 1])
+        compute_ris_tables(t, mask_of([0, 1]))
     with pytest.raises(InputError, match="independent"):
-        build_su_sequence(t, t.root, [0, 1])
+        build_su_sequence(t, t.root, mask_of([0, 1]))
     with pytest.raises(InputError, match="independent"):
-        sequence_to_max(t, [0, 1], 1)
+        sequence_to_max(t, mask_of([0, 1]), 1)
 
 
 def test_compute_ris_tables_c4():
     t = build_maximal_cotree(c4())
-    tabs = compute_ris_tables(t, [0, 2])
+    tabs = compute_ris_tables(t, mask_of([0, 2]))
     assert tabs[t.root].values == [2, 2, 2]
 
 
 def test_compute_ris_tables_two_k2():
     t = build_maximal_cotree(two_k2())
-    tabs = compute_ris_tables(t, [0, 2])
+    tabs = compute_ris_tables(t, mask_of([0, 2]))
     assert tabs[t.root].values == [2, 2, 2]
-    tabs1 = compute_ris_tables(t, [0])
+    tabs1 = compute_ris_tables(t, mask_of([0]))
     assert tabs1[t.root].values == [2, 2]
 
 
@@ -90,7 +90,7 @@ def test_compute_ris_tables_builds_only_the_footprint(g):
     t = build_maximal_cotree(g)
     sets = get_oracle(g).sets
     for imask in sets[:: max(1, len(sets) // 12)]:
-        tabs = compute_ris_tables(t, bits(imask))
+        tabs = compute_ris_tables(t, imask)
         footprint = {u for u in t.preorder() if t.nodes[u].vmask & imask}
         assert len(tabs) == (len(footprint) if imask else 1)
         assert set(tabs) == footprint | {t.root}
@@ -118,19 +118,19 @@ def test_table_pass_errors_come_in_a_fixed_order(leaf_first):
         return build_maximal_cotree(g)
 
     with pytest.raises(InputError, match="out of range"):
-        compute_ris_tables(tree(c5), edge + [7])
+        compute_ris_tables(tree(c5), mask_of(edge + [7]))
     # C5 is not chordal: reported before the dependent set, wherever it sits
     with pytest.raises(UnsupportedGraphClassError):
-        compute_ris_tables(tree(c5), edge)
+        compute_ris_tables(tree(c5), mask_of(edge))
     # P5 is chordal, so the dependent set is reported
     with pytest.raises(InputError, match="independent"):
-        compute_ris_tables(tree(p5), edge)
+        compute_ris_tables(tree(p5), mask_of(edge))
 
 
 def test_compute_freedom_blocks_empty_join_side():
     g = c4()
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, [0, 2])
+    tabs = compute_ris_tables(t, mask_of([0, 2]))
     vals = compute_freedom(t, 1, tabs)
     root = t.nodes[t.root]
     occupied = root.left if t.nodes[root.left].vmask & 1 else root.right
@@ -145,7 +145,7 @@ def test_compute_freedom_blocks_empty_join_side():
 
 def test_compute_freedom_at_zero_blocks_nothing():
     t = build_maximal_cotree(c4())
-    tabs = compute_ris_tables(t, [0, 2])
+    tabs = compute_ris_tables(t, mask_of([0, 2]))
     vals = compute_freedom(t, 0, tabs)
     assert vals.blocked == 0
 

@@ -1,7 +1,7 @@
 import pytest
 
 from isrecon import Graph, InputError
-from isrecon.graph import is_independent
+from isrecon.graph import is_independent, mask_of
 
 from helpers import c4, complete, edgeless, p3
 
@@ -37,27 +37,27 @@ def test_check_vertex_set_rejects_out_of_range():
 
 def test_is_independent():
     g = c4()
-    assert is_independent(g, [0, 2])
-    assert is_independent(g, [1, 3])
-    assert is_independent(g, [])
-    assert not is_independent(g, [0, 1])
+    assert is_independent(g, mask_of([0, 2]))
+    assert is_independent(g, mask_of([1, 3]))
+    assert is_independent(g, 0)
+    assert not is_independent(g, mask_of([0, 1]))
 
 
 def test_induced_subgraph_renumbers_and_tracks_origin():
     g = c4()
-    h = g.induced([1, 2, 3])
+    h = g.induced(mask_of([1, 2, 3]))
     assert h.n == 3
     assert sorted(h.edges()) == [(0, 1), (1, 2)]
     assert h.origin == (1, 2, 3)
     # extraction composes: take a further subgraph
-    hh = h.induced([0, 2])
+    hh = h.induced(mask_of([0, 2]))
     assert hh.origin == (1, 3)
     assert hh.edge_count() == 0
 
 
 def test_induced_of_edgeless():
     g = edgeless(5)
-    h = g.induced([1, 3])
+    h = g.induced(mask_of([1, 3]))
     assert h.n == 2 and h.edge_count() == 0
 
 

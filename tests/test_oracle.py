@@ -7,6 +7,7 @@ from isrecon import (Graph, InputError, OracleCapacityError, gen_chordal,
                      oracle_reach)
 from isrecon.chordal import chordality
 from isrecon.cotree import build_maximal_cotree
+from isrecon.graph import mask_of
 from isrecon.oracle import (ORACLE_CACHE_SIZE, get_oracle, oracle_accessible,
                             oracle_freedom, oracle_ris, solution_graph)
 
@@ -125,7 +126,7 @@ def test_gen_composed():
     assert g.n == 9
     assert g == gen_composed([3, 4, 2], 0.5, 11)
     # every part occupies a contiguous id range and stays chordal
-    assert chordality(g.induced(range(3))).is_perfect
-    assert chordality(g.induced(range(3, 7))).is_perfect
+    assert chordality(g.induced(mask_of(range(3)))).is_perfect
+    assert chordality(g.induced(mask_of(range(3, 7)))).is_perfect
     with pytest.raises(InputError):
         gen_composed([], 0.5, 1)

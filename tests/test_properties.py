@@ -12,7 +12,7 @@ from isrecon.chordal import alpha_chordal, chordality, leaf_reachable
 from isrecon.cotree import UNION, build_maximal_cotree, realize
 from isrecon.engine import (RisTable, compute_freedom, compute_ris_tables, ris_union,
                             union_split)
-from isrecon.graph import bits, is_independent, vertex_set
+from isrecon.graph import bits, is_independent, mask_of, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
 from isrecon.witness import accessible_subgraph, bridge_max_sets
 
@@ -71,7 +71,7 @@ def test_realize_round_trips_every_graph(g):
     # so no split was missed
     for node in t.nodes:
         if node.is_leaf and node.vmask.bit_count() > 1:
-            assert node.leaf_graph == g.induced(bits(node.vmask))
+            assert node.leaf_graph == g.induced(node.vmask)
             h = to_nx(node.leaf_graph)
             assert nx.is_connected(h) and nx.is_connected(nx.complement(h))
         else:
@@ -116,7 +116,7 @@ def test_alpha_chordal_matches_the_oracle(n, density, seed):
     g = gen_chordal(n, density, seed)
     alpha, witness = alpha_chordal(g, chordality(g))
     assert alpha == max(s.bit_count() for s in get_oracle(g).sets)
-    assert len(witness) == alpha and is_independent(g, witness)
+    assert len(witness) == alpha and is_independent(g, mask_of(witness))
 
 
 @SETTINGS
@@ -130,7 +130,7 @@ def test_leaf_reachable_matches_the_oracle(n, density, seed, data):
     a, b = (vertex_set(data.draw(st.sampled_from(
         maximal if data.draw(st.booleans()) else sets))) for _ in "ab")
     ell = data.draw(st.integers(min_value=0, max_value=min(len(a), len(b))))
-    assert leaf_reachable(g, a, b, ell) == oracle_reach(g, a, b, ell)[0]
+    assert leaf_reachable(g, mask_of(a), mask_of(b), ell) == oracle_reach(g, a, b, ell)[0]
 
 
 @SETTINGS
@@ -157,7 +157,7 @@ def test_cograph_means_p4_free(g):
 def test_ris_tables_monotone_and_bounded(inst):
     g, a, _, _ = inst
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, a)
+    tabs = compute_ris_tables(t, mask_of(a))
     for u in t.preorder():
         tab = tabs[u]
         base = (t.nodes[u].vmask & g.check_vertex_set(a)).bit_count()
@@ -187,9 +187,9 @@ def footprint_instances(draw):
 def test_footprint_passes_match_the_full_passes(inst):
     g, a, k = inst
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, a)
+    tabs = compute_ris_tables(t, mask_of(a))
     vals = compute_freedom(t, k, tabs)
-    ref = full_ris_tables(t, a)
+    ref = full_ris_tables(t, mask_of(a))
     ref_freedom, ref_blocked = full_freedom(t, k, ref)
     for u in t.preorder():
         node = t.nodes[u]
@@ -213,7 +213,7 @@ _TWO_FIXPOINTS = (gen_cograph(8, 69)[0], frozenset({0, 2}), frozenset({0, 2}), 0
 def test_union_tuples_are_maximal_fixpoints(inst):
     g, a, _, _ = inst
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, a)
+    tabs = compute_ris_tables(t, mask_of(a))
     for u in t.preorder():
         node = t.nodes[u]
         if node.kind != UNION:
@@ -235,7 +235,7 @@ def test_union_tuples_are_maximal_fixpoints(inst):
 def test_the_root_split_is_the_greater_of_two_fixpoints():
     g, a, _, _ = _TWO_FIXPOINTS
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, a)
+    tabs = compute_ris_tables(t, mask_of(a))
     root = t.nodes[t.root]
     assert root.kind == UNION
     assert union_split(tabs[root.left], tabs[root.right], 2) == (1, 1)
@@ -283,9 +283,9 @@ def test_accessible_matches_oracle(inst):
     if len(a) < k:
         return
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, a)
+    tabs = compute_ris_tables(t, mask_of(a))
     vals = compute_freedom(t, k, tabs)
-    assert accessible_subgraph(t, vals) == oracle_accessible(g, a, k)
+    assert accessible_subgraph(t, vals) == mask_of(oracle_accessible(g, a, k))
 
 
 @SETTINGS
@@ -310,7 +310,7 @@ def test_bridge_moves_between_any_two_maximum_sets(n, seed, data):
     maxima = [s for s in sets if s.bit_count() == alpha]
     amask = data.draw(st.sampled_from(maxima))
     bmask = data.draw(st.sampled_from(maxima))
-    seq = bridge_max_sets(build_maximal_cotree(g), bits(amask), bits(bmask), 0)
+    seq = bridge_max_sets(build_maximal_cotree(g), amask, bmask, 0)
     assert validate_tar_sequence(g, seq) == bmask
     assert seq.length == (amask ^ bmask).bit_count()
     assert seq.sets[0] == vertex_set(amask) and seq.sets[-1] == vertex_set(bmask)

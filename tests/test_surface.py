@@ -1,6 +1,8 @@
 """The package root exports exactly what users call, no module in the
-package imports a name it never uses, and the result records are plain
-named tuples that import nothing heavy."""
+package imports a name it never uses, the result records are plain named
+tuples that import nothing heavy, and vertex sets cross one boundary: the
+root packs each set once, and every function below it takes range-checked
+bitmasks."""
 
 import ast
 import os
@@ -12,11 +14,18 @@ from pathlib import Path
 import pytest
 
 import isrecon
-from isrecon.chordal import EliminationOrdering
-from isrecon.cotree import LEAF, Cotree, CotreeNode
-from isrecon.engine import Decision, NodeValues, RisTable
+from isrecon import (Graph, InputError, build_witness, decide, gen_composed,
+                     tj_decide)
+from isrecon.chordal import (EliminationOrdering, is_dominating, leaf_reachable,
+                             leaf_ris_table)
+from isrecon.cotree import LEAF, Cotree, CotreeNode, build_maximal_cotree
+from isrecon.engine import Decision, NodeValues, RisTable, compute_ris_tables
+from isrecon.graph import is_independent
 from isrecon.oracle import SolutionGraph
-from isrecon.witness import SuSequence, TarSequence
+from isrecon.witness import (SuSequence, TarSequence, bridge_max_sets,
+                             build_su_sequence, sequence_to_max)
+
+from helpers import two_k2
 
 PUBLIC = {
     "Graph", "is_cograph", "decide", "tj_decide", "Decision",
@@ -132,3 +141,49 @@ def test_cotrees_keep_slots_only():
             obj.undeclared = 1
     assert (t.nodes[0].left, t.nodes[0].right, t.nodes[0].leaf_graph) == (-1, -1, None)
     assert t._alpha is None and t.all_leaves_trivial()
+
+
+TWO_K2 = two_k2()  # A = {0, 2} reaches B = {1, 3} at k = 1 in four moves
+COMPOSED = gen_composed([6, 7, 6], 0.5, 5)  # three prime chordal leaves
+
+
+@pytest.mark.parametrize("run", [
+    lambda: decide(TWO_K2, [0, 2], [1, 3], 1),
+    lambda: tj_decide(TWO_K2, [0, 2], [1, 3]),
+    lambda: build_witness(TWO_K2, [0, 2], [1, 3], 1),
+    lambda: decide(COMPOSED, [0], [6], 1),
+], ids=["decide", "tj_decide", "build_witness", "decide-prime-leaves"])
+def test_a_root_call_packs_and_checks_each_set_once(monkeypatch, run):
+    calls = []
+    real = Graph.check_vertex_set
+
+    def counting(g, s):
+        calls.append(s)
+        return real(g, s)
+
+    monkeypatch.setattr(Graph, "check_vertex_set", counting)
+    run()
+    assert len(calls) == 2
+
+
+# (name, the call given a graph, its cotree and a vertex mask)
+MASK_CALLS = [
+    ("Graph.induced", lambda g, t, m: g.induced(m)),
+    ("is_independent", lambda g, t, m: is_independent(g, m)),
+    ("is_dominating", lambda g, t, m: is_dominating(g, m)),
+    ("leaf_ris_table", lambda g, t, m: leaf_ris_table(g, m)),
+    ("leaf_reachable", lambda g, t, m: leaf_reachable(g, m, 0, 0)),
+    ("compute_ris_tables", lambda g, t, m: compute_ris_tables(t, m)),
+    ("build_su_sequence", lambda g, t, m: build_su_sequence(t, t.root, m)),
+    ("sequence_to_max", lambda g, t, m: sequence_to_max(t, m, 0)),
+    ("bridge_max_sets", lambda g, t, m: bridge_max_sets(t, m, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in MASK_CALLS],
+                         ids=[name for name, _ in MASK_CALLS])
+@pytest.mark.parametrize("mask", [1 << 4, -1], ids=["bit-n", "negative"])
+def test_a_mask_outside_the_graph_is_out_of_range(call, mask):
+    g = two_k2()
+    with pytest.raises(InputError, match="out of range"):
+        call(g, build_maximal_cotree(g), mask)

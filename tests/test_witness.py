@@ -11,7 +11,7 @@ from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassErro
                      build_witness, decide, gen_cograph, validate_tar_sequence)
 from isrecon.cotree import build_maximal_cotree, realize, restrict
 from isrecon.engine import compute_freedom, compute_ris_tables
-from isrecon.graph import mask_of
+from isrecon.graph import mask_of, vertex_set
 from isrecon.witness import (TarSequence, accessible_subgraph, bridge_max_sets,
                              build_su_sequence, sequence_to_max)
 
@@ -21,24 +21,24 @@ from helpers import (alternating_threshold, c4, cotree_depth, edgeless,
 
 def freedom_values(g, a, k):
     t = build_maximal_cotree(g)
-    tabs = compute_ris_tables(t, a)
+    tabs = compute_ris_tables(t, mask_of(a))
     return t, compute_freedom(t, k, tabs)
 
 
 def test_accessible_subgraph_c4():
     t, vals = freedom_values(c4(), [0, 2], 1)
-    assert accessible_subgraph(t, vals) == frozenset({0, 2})
+    assert accessible_subgraph(t, vals) == mask_of({0, 2})
     t0, vals0 = freedom_values(c4(), [0, 2], 0)
-    assert accessible_subgraph(t0, vals0) == frozenset({0, 1, 2, 3})
+    assert accessible_subgraph(t0, vals0) == mask_of({0, 1, 2, 3})
 
 
 def test_accessible_subgraph_two_k2():
     # at k=2 the start set {0,2} is frozen: nothing can be removed or added
     t, vals = freedom_values(two_k2(), [0, 2], 2)
-    assert accessible_subgraph(t, vals) == frozenset({0, 2})
+    assert accessible_subgraph(t, vals) == mask_of({0, 2})
     # at k=1 tokens can hop within each edge pair
     t1, vals1 = freedom_values(two_k2(), [0, 2], 1)
-    assert accessible_subgraph(t1, vals1) == frozenset({0, 1, 2, 3})
+    assert accessible_subgraph(t1, vals1) == mask_of({0, 1, 2, 3})
 
 
 def test_accessible_subgraph_rejects_nontrivial_leaves():
@@ -50,29 +50,29 @@ def test_accessible_subgraph_rejects_nontrivial_leaves():
 def test_climb_and_bridge_reject_a_prime_leaf():
     t = build_maximal_cotree(p4())  # P4 is one prime leaf
     with pytest.raises(UnsupportedGraphClassError):
-        bridge_max_sets(t, [0, 2], [1, 3], 0)
+        bridge_max_sets(t, mask_of([0, 2]), mask_of([1, 3]), 0)
     with pytest.raises(UnsupportedGraphClassError):
-        build_su_sequence(t, t.root, [0])
+        build_su_sequence(t, t.root, mask_of([0]))
 
 
 def test_su_sequence_trivial_cases():
     t = build_maximal_cotree(edgeless(1))
-    su = build_su_sequence(t, t.root, [0])
+    su = build_su_sequence(t, t.root, mask_of([0]))
     assert su.sets == [frozenset({0})]
     assert su.steps == []
-    su_empty = build_su_sequence(t, t.root, [])
+    su_empty = build_su_sequence(t, t.root, 0)
     assert su_empty.sets == [frozenset(), frozenset({0})]
 
 
 def test_su_sequence_union_left_preference():
     t = build_maximal_cotree(two_k2())
-    su = build_su_sequence(t, t.root, [0])
+    su = build_su_sequence(t, t.root, mask_of([0]))
     assert [sorted(s) for s in su.sets] == [[0], [0, 2]]
 
 
 def test_su_sequence_starts_full():
     t = build_maximal_cotree(two_k2())
-    su = build_su_sequence(t, t.root, [0, 2])
+    su = build_su_sequence(t, t.root, mask_of([0, 2]))
     assert su.sets == [frozenset({0, 2})]
 
 
@@ -81,7 +81,7 @@ def test_su_sequence_join_switch():
     from isrecon import Graph
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     t = build_maximal_cotree(g)
-    su = build_su_sequence(t, t.root, [0])
+    su = build_su_sequence(t, t.root, mask_of([0]))
     assert su.sets[0] == frozenset({0})
     assert su.sets[-1] == frozenset({1, 2, 3})
     # the switch removes the old side before adding the new one
@@ -92,10 +92,10 @@ def test_su_sequence_join_switch():
 
 def test_sequence_to_max_lengths():
     t = build_maximal_cotree(edgeless(2))
-    seq = sequence_to_max(t, [0], 1)
+    seq = sequence_to_max(t, mask_of([0]), 1)
     assert [sorted(s) for s in seq.sets] == [[0], [0, 1]]
     t2 = build_maximal_cotree(two_k2())
-    seq2 = sequence_to_max(t2, [0, 2], 2)
+    seq2 = sequence_to_max(t2, mask_of([0, 2]), 2)
     assert seq2.sets == [frozenset({0, 2})]
     assert seq2.length == 0
 
@@ -103,11 +103,11 @@ def test_sequence_to_max_lengths():
 def test_sequence_to_max_respects_length_bound():
     for g, a, k in [(two_k2(), [0], 1), (edgeless(5), [2], 1), (c4(), [1], 1)]:
         t = build_maximal_cotree(g)
-        tabs = compute_ris_tables(t, a)
+        tabs = compute_ris_tables(t, mask_of(a))
         alpha = tabs[t.root].values[0]
         if tabs[t.root].values[min(k, tabs[t.root].base)] != alpha:
             continue
-        seq = sequence_to_max(t, a, k)
+        seq = sequence_to_max(t, mask_of(a), k)
         validate_tar_sequence(g, seq)
         assert len(seq.sets[-1]) == alpha
         assert seq.length <= 2 * g.n - len(a) - alpha
@@ -115,26 +115,26 @@ def test_sequence_to_max_respects_length_bound():
 
 def test_bridge_max_sets():
     t = build_maximal_cotree(c4())
-    seq = bridge_max_sets(t, [0, 2], [1, 3], 0)
+    seq = bridge_max_sets(t, mask_of([0, 2]), mask_of([1, 3]), 0)
     assert seq.length == 4
     validate_tar_sequence(c4(), seq)
     assert seq.sets[0] == frozenset({0, 2})
     assert seq.sets[-1] == frozenset({1, 3})
     t2 = build_maximal_cotree(two_k2())
-    seq2 = bridge_max_sets(t2, [0, 2], [0, 3], 1)
+    seq2 = bridge_max_sets(t2, mask_of([0, 2]), mask_of([0, 3]), 1)
     assert [sorted(s) for s in seq2.sets] == [[0, 2], [0], [0, 3]]
 
 
 def test_bridge_identical_sets_is_empty():
     t = build_maximal_cotree(c4())
-    seq = bridge_max_sets(t, [0, 2], [0, 2], 1)
+    seq = bridge_max_sets(t, mask_of([0, 2]), mask_of([0, 2]), 1)
     assert seq.length == 0
 
 
 def test_bridge_rejects_non_maximum_sets():
     t = build_maximal_cotree(c4())
     with pytest.raises(InputError):
-        bridge_max_sets(t, [0], [1, 3], 0)
+        bridge_max_sets(t, mask_of([0]), mask_of([1, 3]), 0)
 
 
 def test_sets_outside_a_restricted_tree_are_rejected():
@@ -142,16 +142,16 @@ def test_sets_outside_a_restricted_tree_are_rejected():
     # but not in the tree, so no climb or bridge may drop or keep it
     r = restrict(build_maximal_cotree(two_k2()), 0b0011)
     with pytest.raises(InputError):
-        sequence_to_max(r, [0, 2], 1)
+        sequence_to_max(r, mask_of([0, 2]), 1)
     with pytest.raises(InputError):
-        build_su_sequence(r, r.root, [2])
+        build_su_sequence(r, r.root, mask_of([2]))
     with pytest.raises(InputError):
-        bridge_max_sets(r, [2], [0], 0)
+        bridge_max_sets(r, mask_of([2]), mask_of([0]), 0)
     with pytest.raises(InputError):
-        bridge_max_sets(r, [0], [2], 0)
+        bridge_max_sets(r, mask_of([0]), mask_of([2]), 0)
     with pytest.raises(InputError):
-        compute_ris_tables(r, [2])
-    assert sequence_to_max(r, [0], 1).sets == [frozenset({0})]
+        compute_ris_tables(r, mask_of([2]))
+    assert sequence_to_max(r, mask_of([0]), 1).sets == [frozenset({0})]
 
 
 def test_build_witness_p3():
@@ -216,7 +216,7 @@ def test_restrict_realizes_the_accessible_subgraph():
             if k < 1:
                 continue
             t, vals = freedom_values(g, a, k)
-            keep = mask_of(accessible_subgraph(t, vals))
+            keep = accessible_subgraph(t, vals)
             pruned += keep != g.full_mask
             r = restrict(t, keep)
             induced = [row & keep if keep >> v & 1 else 0
@@ -256,8 +256,8 @@ def _pruned_instance():
         g, _ = gen_cograph(30, seed)
         a = greedy_independent_set(g, rng)
         t, vals = freedom_values(g, a, 1)
-        access = accessible_subgraph(t, vals)
-        inner = greedy_independent_set(g.induced(sorted(access)), rng)
+        access = vertex_set(accessible_subgraph(t, vals))
+        inner = greedy_independent_set(g.induced(mask_of(access)), rng)
         b = frozenset(sorted(access)[v] for v in inner)
         if access != frozenset(range(g.n)) and a != b and decide(g, a, b, 1).reachable:
             return g, a, b
