@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import engine, oracle as oraclemod, witness as witnessmod
-from .cotree import UNION, build_maximal_cotree
+from .cotree import UNION, cotree_of
 from .errors import InputError, UnreachableError, UnsupportedGraphClassError
 from .graph import Graph, mask_of, vertex_set
 
@@ -153,13 +153,15 @@ def parse_set(spec: str, n: int, what: str) -> frozenset:
 def parse_instance(graph_file: str, a_spec: str, b_spec: str, k: int,
                    model: str = oraclemod.TAR
                    ) -> tuple[Graph, frozenset, frozenset, int]:
-    """The graph, sets A and B, and the TAR token bound (|A| - 1 under TJ)."""
+    """The graph, sets A and B, and the TAR token bound (|A| - 1 under TJ).
+
+    Independence is left to each command, which checks it once.
+    """
     if k < 0:
         raise InputError(f"token bound k={k} is below 0")
     g = load_graph(graph_file)
     a = parse_set(a_spec, g.n, "set A")
     b = parse_set(b_spec, g.n, "set B")
-    engine._check_independent(g, mask_of(a), mask_of(b))
     if model == oraclemod.TJ:
         if len(a) != len(b):
             raise InputError("the TJ model requires |A| = |B|")
@@ -213,11 +215,13 @@ def cmd_witness(args) -> int:
 
 def cmd_tables(args) -> int:
     g, a, _, k = parse_instance(args.graph, args.a, "-", args.k)
+    amask = mask_of(a)
+    engine._check_independent(g, amask, 0)
     engine.check_token_bound(k, len(a))
     if g.n == 0:  # no cotree, so no nodes to print
         return EXIT_REACHABLE
-    t = build_maximal_cotree(g)
-    ris = engine.compute_ris_tables(t, mask_of(a))
+    t = cotree_of(g)
+    ris = engine.compute_ris_tables(t, amask)
     vals = engine.compute_freedom(t, k, ris)
     print(t.dump())
     for u in t.preorder():

@@ -12,6 +12,10 @@ is a cograph exactly when the rounds leave one vertex (the same paper).  The
 rounds stop early once one merges fewer than a quarter of the live vertices,
 and the connectivity search then factors only the quotient left, in which
 every prime piece is a union of twin classes.
+
+A tree depends only on its graph, so ``cotree_of`` keeps the last graph
+factored with its tree; consecutive queries on one ``Graph`` object then
+share a single factorization.
 """
 
 from __future__ import annotations
@@ -310,6 +314,30 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     return t
 
 
+# The last graph factored by ``cotree_of`` and its tree.  It is keyed by
+# identity: an equal graph may carry another ``origin``, which the tree's
+# ``graph`` exposes, and hashing the rows would cost O(n^2/64) per call.
+_last: tuple = (None, None)
+
+
+def cotree_of(g: Graph) -> Cotree:
+    """The maximal cotree of ``g``, built once for consecutive calls on ``g``.
+
+    Only the last graph and its tree are kept, and both stay alive until
+    another graph is factored.  A build that raises keeps nothing.
+    """
+    global _last
+    last_g, t = _last  # one read, so a concurrent call cannot mix two pairs
+    if last_g is g:
+        return t
+    # Drop the old pair first, so that two trees are never alive at once.
+    del last_g, t
+    _last = (None, None)
+    t = build_maximal_cotree(g)
+    _last = (g, t)
+    return t
+
+
 def restrict(t: Cotree, keep: int) -> Cotree:
     """The cotree of the subgraph induced by the vertex mask ``keep``.
 
@@ -367,5 +395,5 @@ def is_cograph(g: Graph) -> bool:
     """True iff the maximal decomposition of ``g`` has only trivial leaves."""
     if g.n == 0:
         return True
-    return build_maximal_cotree(g).all_leaves_trivial()
+    return cotree_of(g).all_leaves_trivial()
 

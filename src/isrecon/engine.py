@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from . import chordal
-from .cotree import Cotree, JOIN, LEAF, UNION, build_maximal_cotree
+from .cotree import Cotree, JOIN, LEAF, UNION, cotree_of
 from .errors import InputError, InternalError
 from .graph import Graph, bits, is_independent, mask_of
 
@@ -281,7 +281,7 @@ def _decide_masks(g: Graph, amask: int, bmask: int, k: int) -> Decision:
         return Decision(True)
     if amask.bit_count() < k or bmask.bit_count() < k:
         return Decision(False, (None, SIZE_BELOW_THRESHOLD))
-    return _decide_tree(build_maximal_cotree(g), amask, bmask, k)[0]
+    return _decide_tree(cotree_of(g), amask, bmask, k)[0]
 
 
 def decide(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> Decision:

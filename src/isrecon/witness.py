@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_, xor
 from typing import Iterable, NamedTuple
 
-from .cotree import Cotree, JOIN, build_maximal_cotree, restrict
+from .cotree import Cotree, JOIN, cotree_of, restrict
 from .engine import (NodeValues, RisTable, _check_independent, _decide_tree,
                      compute_ris_tables, subtree_alpha)
 from .errors import (InputError, InternalError, UnreachableError,
@@ -250,8 +250,9 @@ def bridge_max_sets(t: Cotree, amask: int, bmask: int, k: int) -> TarSequence:
 def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSequence:
     """A full k-TAR-sequence from ``a`` to ``b``, length <= 4n - |a| - |b|.
 
-    Factors ``g`` once; the verdict, the pruning to the accessible vertices,
-    the climbs and the bridge all use that cotree, in the ids of ``g``.
+    Factors ``g`` once, or reuses the tree of the last call on ``g``; the
+    verdict, the pruning to the accessible vertices, the climbs and the
+    bridge all use that cotree, in the ids of ``g``.
     Raises UnreachableError when ``b`` is not reachable from ``a``.
     """
     amask, bmask = g.check_vertex_set(a), g.check_vertex_set(b)
@@ -260,7 +261,7 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
         raise UnreachableError("a set is smaller than the token bound")
     if g.n == 0:  # no cotree; the empty set is the only independent set
         return TarSequence(frozenset(), [], k)
-    t = build_maximal_cotree(g)
+    t = cotree_of(g)
     verdict, vals_a = _decide_tree(t, amask, bmask, max(k, 0))
     if not verdict.reachable:
         raise UnreachableError("the target set is not reachable at this threshold")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from isrecon import Graph, cli, engine
 from isrecon.cli import main, parse_instance, parse_set
 from isrecon.errors import InputError
+from isrecon.graph import is_independent
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -90,9 +91,34 @@ def test_duplicate_edge_warns_and_dedupes(tmp_path, capsys):
     assert "duplicate edge" in capsys.readouterr().err
 
 
-def test_non_independent_set_rejected(c4_file):
-    with pytest.raises(InputError, match="independent"):
-        parse_instance(c4_file, "0,1", "2", 0)
+def test_non_independent_set_rejected(c4_file, capsys):
+    # the command's library call checks the sets, naming the first dependent one
+    for cmd, *sets in (["decide", "0,1", "2"], ["decide", "2", "0,1"],
+                       ["witness", "0,1", "2"], ["tables", "0,1"],
+                       ["oracle", "0,1", "2"]):
+        assert main([cmd, c4_file, *sets]) == 2, cmd
+        name = "A" if "," in sets[0] else "B"
+        assert capsys.readouterr().err == f"error: set {name} is not independent\n"
+    # wrong in two ways at once: the TJ size check, made while parsing, speaks first
+    assert main(["decide", c4_file, "0,1", "2", "--model", "tj"]) == 2
+    assert capsys.readouterr().err == "error: the TJ model requires |A| = |B|\n"
+
+
+def test_a_command_checks_each_set_for_independence_once(c4_file, capsys,
+                                                         monkeypatch):
+    real = is_independent
+    calls = []
+
+    def counting(g, m):
+        calls.append(m)
+        return real(g, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isrecon") and getattr(module, "is_independent", None) is real:
+            monkeypatch.setattr(module, "is_independent", counting)
+    assert main(["decide", c4_file, "0,2", "1,3", "-k", "1"]) == 1
+    capsys.readouterr()
+    assert calls == [0b0101, 0b1010]
 
 
 def test_decide_exit_codes(c4_file, capsys):

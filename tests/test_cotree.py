@@ -1,14 +1,23 @@
+import gc
 import math
 import random
 import sys
+import threading
 from functools import reduce
 from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isrecon.chordal
 import isrecon.cotree
-from isrecon import Graph, InputError, gen_cograph, gen_composed, is_cograph
-from isrecon.cotree import JOIN, UNION, build_maximal_cotree, realize
+from isrecon import (Graph, InputError, UnsupportedGraphClassError, build_witness,
+                     decide, gen_cograph, gen_composed, is_cograph, tj_decide)
+from isrecon.cotree import Cotree, JOIN, UNION, build_maximal_cotree, cotree_of, realize
+from isrecon.engine import _decide_tree
+from isrecon.graph import bits
+from isrecon.oracle import get_oracle
 
 import helpers
 from helpers import (alternating_threshold, c4, complete, compose, cotree_depth,
@@ -249,3 +258,129 @@ def test_preorder_postorder_cover_all_nodes():
                 assert len(order) == len(set(order)) and set(order) == subtree
                 assert reduce(or_, (t.nodes[x].vmask for x in order
                                     if t.nodes[x].is_leaf)) == node.vmask
+
+
+# -- the factorization memo: consecutive queries on one Graph share a tree --
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record the first argument of every call."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_consecutive_queries_on_one_graph_factor_it_once(monkeypatch):
+    builds = _count_calls(monkeypatch, isrecon.cotree, "build_maximal_cotree")
+    g = two_k2()
+    assert not decide(g, [0, 2], [1, 3], 2).reachable
+    assert tj_decide(g, [0, 2], [1, 3])
+    assert build_witness(g, [0, 2], [1, 3], 1).length == 4
+    assert is_cograph(g)
+    assert builds == [g]
+    # a repeat query also skips the prime leaves' copies and their analysis
+    induced = _count_calls(monkeypatch, Graph, "induced")
+    chordality = _count_calls(monkeypatch, isrecon.chordal, "chordality")
+    h = gen_composed([6, 7, 6], 0.5, 5)
+    for _ in range(3):
+        assert decide(h, [0], [6], 1).reachable
+        assert not is_cograph(h)
+    assert builds == [g, h] and len(induced) == len(chordality) == 3
+
+
+def test_an_equal_graph_is_factored_again(monkeypatch):
+    builds = _count_calls(monkeypatch, isrecon.cotree, "build_maximal_cotree")
+    g = gen_cograph(12, 3)[0]
+    h = Graph(g.n, g.adj)
+    assert h == g
+    t = cotree_of(g)
+    assert cotree_of(g) is t
+    u = cotree_of(h)
+    assert builds == [g, h] and u is not t and u.graph is h
+
+
+def test_the_last_tree_is_freed_once_another_graph_is_factored():
+    def trees_of(graph):
+        gc.collect()
+        return [x for x in gc.get_objects() if isinstance(x, Cotree) and x.graph is graph]
+
+    g, h = gen_cograph(20, 1)[0], gen_cograph(20, 2)[0]
+    assert is_cograph(g) and len(trees_of(g)) == 1
+    assert is_cograph(h) and trees_of(g) == []
+
+
+def test_a_non_chordal_prime_leaf_raises_on_every_call():
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    g = Graph.from_edges(6, c5 + [(v, 5) for v in range(5)])  # C5 joined to a vertex
+    for _ in range(2):
+        with pytest.raises(UnsupportedGraphClassError):
+            decide(g, [0, 2], [1, 3], 1)
+    assert cotree_of(g)._alpha is None
+
+
+@st.composite
+def interleaved_queries(draw):
+    """3-4 small graphs and a sequence of queries that hop between them."""
+    graphs = []
+    for _ in range(draw(st.integers(min_value=3, max_value=4))):
+        n = draw(st.integers(min_value=2, max_value=10))
+        seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+        if draw(st.booleans()):
+            graphs.append(gen_cograph(n, seed)[0])
+        else:
+            first = draw(st.integers(min_value=1, max_value=n - 1))
+            graphs.append(gen_composed([first, n - first], 0.5, seed))
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        g = draw(st.sampled_from(graphs))
+        sets = [m for m in get_oracle(g).sets if m]
+        amask, bmask = draw(st.sampled_from(sets)), draw(st.sampled_from(sets))
+        k = draw(st.integers(min_value=1,
+                             max_value=min(amask.bit_count(), bmask.bit_count())))
+        queries.append((g, amask, bmask, k))
+    return queries
+
+
+@settings(max_examples=80, deadline=None)
+@given(interleaved_queries())
+def test_interleaved_queries_match_a_fresh_factorization(queries):
+    for g, amask, bmask, k in queries:
+        fresh = build_maximal_cotree(g)
+        a, b = (sorted(bits(m)) for m in (amask, bmask))
+        assert decide(g, a, b, k) == _decide_tree(fresh, amask, bmask, k)[0]
+        assert is_cograph(g) == fresh.all_leaves_trivial()
+        assert cotree_of(g).graph is g
+
+
+def test_threads_hopping_between_graphs_never_get_another_graphs_tree():
+    graphs = [gen_cograph(30, seed)[0] for seed in range(6)]
+    expected = [build_maximal_cotree(g).all_leaves_trivial() for g in graphs]
+    errors = []
+
+    def hop(offset):
+        try:
+            for i in range(300):
+                j = (i + offset) % len(graphs)
+                t = cotree_of(graphs[j])
+                if t.graph is not graphs[j] or t.all_leaves_trivial() != expected[j]:
+                    errors.append((offset, i))
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hop, args=(w,)) for w in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []

@@ -5,8 +5,6 @@ import random
 import pytest
 
 import isrecon.cotree
-import isrecon.engine
-import isrecon.witness
 from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
                      build_witness, decide, gen_cograph, validate_tar_sequence)
 from isrecon.cotree import build_maximal_cotree, realize, restrict
@@ -265,7 +263,8 @@ def _pruned_instance():
 
 
 def test_build_witness_factors_once(monkeypatch):
-    g, a, b = _pruned_instance()
+    found, a, b = _pruned_instance()
+    g = Graph(found.n, found.adj)  # a graph no query has factored yet
     calls = {"build_maximal_cotree": 0, "induced": 0}
 
     def counted(name, fn):
@@ -274,10 +273,10 @@ def test_build_witness_factors_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    build = counted("build_maximal_cotree", build_maximal_cotree)
-    for module in (isrecon.cotree, isrecon.engine, isrecon.witness):
-        monkeypatch.setattr(module, "build_maximal_cotree", build)
+    monkeypatch.setattr(isrecon.cotree, "build_maximal_cotree",
+                        counted("build_maximal_cotree", build_maximal_cotree))
     monkeypatch.setattr(Graph, "induced", counted("induced", Graph.induced))
+    assert decide(g, a, b, 1).reachable
     seq = build_witness(g, a, b, 1)
     assert calls == {"build_maximal_cotree": 1, "induced": 0}
     assert seq.sets[0] == a and seq.sets[-1] == b and seq.length > 0
