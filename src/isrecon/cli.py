@@ -221,7 +221,7 @@ def cmd_tables(args) -> int:
     if g.n == 0:  # no cotree, so no nodes to print
         return EXIT_REACHABLE
     t = cotree_of(g)
-    ris = engine.compute_ris_tables(t, amask)
+    ris = engine.compute_ris_tables(t, amask, checked=True)
     vals = engine.compute_freedom(t, k, ris)
     print(t.dump())
     for u in t.preorder():

@@ -53,18 +53,20 @@ class CotreeNode:
 class Cotree:
     """A factorization of ``graph``; nodes are indexed by their id.
 
-    ``_alpha`` holds the independence number of every node's subtree, which
-    the engine fills on the tree's first table pass; the tree is not changed
-    after it is built, so the list cannot go stale.
+    ``_alpha`` holds the independence number of every node's subtree and
+    ``_flat`` marks the nodes whose tables are flat (see ``engine``); the
+    engine fills both on the tree's first table pass.  The tree is not
+    changed after it is built, so the lists cannot go stale.
     """
 
-    __slots__ = ("graph", "nodes", "root", "_alpha")
+    __slots__ = ("graph", "nodes", "root", "_alpha", "_flat")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.nodes: list[CotreeNode] = []
         self.root = -1
         self._alpha: Optional[list[int]] = None
+        self._flat: Optional[list[bool]] = None
 
     def preorder(self, start: Optional[int] = None) -> Iterator[int]:
         """Parents before children, in the subtree of ``start`` (default: root).

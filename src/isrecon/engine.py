@@ -1,14 +1,22 @@
 """Two-pass dynamic program over the cotree and the reachability decision.
 
-A set's passes visit only its footprint: the nodes whose vertex set meets
-it (and the root).  A subtree the set misses needs no work: its table is
-its independence number alpha, which each tree computes once, at its first
-pass, and its freedom is 0.  Bottom-up: per-node tables of the maximum reachable
-independent-set size for every token lower bound.  Top-down: minimum-occupancy
-(freedom) values, each union's split derived from its children's tables at
-its own freedom, plus the mask of the vertices a witness may not use.  The decision
-compares the freedoms of the two input sets, then reads from each prime
-leaf's two tables whether either set is pinned there.
+Bottom-up: per-node tables of the maximum reachable independent-set size
+for every token lower bound.  Top-down: minimum-occupancy (freedom) values,
+each union's split derived from its children's tables at its own freedom,
+plus the mask of the vertices a witness may not use.  The decision compares
+the freedoms of the two input sets, then reads from each prime leaf's two
+tables whether either set is pinned there.
+
+A node is flat when every independent set's table there is its subtree's
+independence number alpha at every bound: a trivial leaf, a union of two
+flat children, or a join of two flat children with equal alpha.  A prime
+leaf is never flat, and a flat node's children are flat.  Each tree
+computes alpha and the flags once, at its first pass.  A set's table pass
+builds only the nodes that meet it (and the root) and are not flat; every
+other node reads as ``[alpha] * (base + 1)``, which one popcount gives, so
+a subtree the set misses reads as ``[alpha]``.  At a flat union the
+freedom split needs no table either.  The comparison visits only the nodes
+where either set's freedom is positive.
 """
 
 from __future__ import annotations
@@ -45,19 +53,24 @@ class NodeValues(NamedTuple):
 
 
 class _Tables(dict):
-    """The tables of one set, keyed by node; only its footprint is stored.
+    """The tables of the set ``imask``, keyed by node.
 
-    A node the set misses reads as ``RisTable(0, [alpha])``: the table a
-    whole-tree pass builds there.  It is made again on each read and never
-    stored.
+    Stored are the nodes that meet the set (and the root) and are not
+    flat.  Any other node ``u`` reads as ``RisTable(b, [alpha_u] * (b + 1))``,
+    b the number of the set's vertices below ``u``: the table a whole-tree
+    pass builds there, as ``u`` is flat or the set misses it.  It is made
+    again on each read and never stored.
     """
 
-    def __init__(self, alpha: list[int]):
+    def __init__(self, t: Cotree, imask: int):
         super().__init__()
-        self._alpha = alpha
+        self.imask = imask
+        self._nodes = t.nodes
+        self._alpha = subtree_alpha(t)[0]
 
     def __missing__(self, u: int) -> RisTable:
-        return RisTable(0, [self._alpha[u]])
+        base = (self.imask & self._nodes[u].vmask).bit_count()
+        return RisTable(base, [self._alpha[u]] * (base + 1))
 
 
 class Decision(NamedTuple):
@@ -128,31 +141,51 @@ def _leaf_local_mask(t: Cotree, u: int, mask: int) -> int:
     return mask_of((vmask & ((1 << v) - 1)).bit_count() for v in bits(mask & vmask))
 
 
-def subtree_alpha(t: Cotree) -> list[int]:
-    """The independence number of every node's subtree, by node id.
+def subtree_alpha(t: Cotree) -> tuple[list[int], list[bool]]:
+    """The independence number of every node's subtree, and whether the
+    node is flat, by node id.
 
-    Computed once per tree, in one postorder pass: 1 at a trivial leaf, the
-    sum at a union, the larger child at a join, and the leaf table's entry
-    0 at a prime leaf.  Raises UnsupportedGraphClassError if any prime leaf
-    is not chordal.
+    Computed once per tree, in one postorder pass: alpha is 1 at a trivial
+    leaf, the sum at a union, the larger child at a join, and the leaf
+    table's entry 0 at a prime leaf.  Raises UnsupportedGraphClassError if
+    any prime leaf is not chordal.
     """
     if t._alpha is None:
         nodes = t.nodes
         alpha = [1] * len(nodes)
+        flat = [True] * len(nodes)
         for u in t.postorder():
             node = nodes[u]
             if node.kind == UNION:
                 alpha[u] = alpha[node.left] + alpha[node.right]
+                flat[u] = flat[node.left] and flat[node.right]
             elif node.kind == JOIN:
-                alpha[u] = max(alpha[node.left], alpha[node.right])
+                a, b = alpha[node.left], alpha[node.right]
+                alpha[u] = max(a, b)
+                flat[u] = flat[node.left] and flat[node.right] and a == b
             elif node.leaf_graph is not None:
                 alpha[u] = chordal.leaf_ris_table(node.leaf_graph, 0)[0]
+                flat[u] = False
+        t._flat = flat  # before _alpha, which marks the pass as done
         t._alpha = alpha
-    return t._alpha
+    return t._alpha, t._flat
 
 
-def _footprint(t: Cotree, mask: int) -> list[int]:
-    """The root and every node whose vertex set meets ``mask``, in preorder."""
+def compute_ris_tables(t: Cotree, imask: int, *, checked: bool = False) -> _Tables:
+    """Bottom-up pass: the table of every cotree node for the start set ``imask``.
+
+    Only the nodes that meet the mask (and the root) and are not flat are
+    built and stored; any other node reads as its flat table (see
+    ``_Tables``).  The pass finds a dependent set at a join it builds, in a
+    prime leaf's table, or with ``is_independent`` on the set's part of a
+    flat node's subtree; ``checked=True`` says the caller has already run
+    ``is_independent`` on the whole set, and skips that last test.  Errors
+    come in a fixed order: a vertex outside the tree (InputError), then a
+    prime leaf anywhere in the tree that is not chordal
+    (UnsupportedGraphClassError), then a dependent ``imask`` (InputError).
+    """
+    t.check_vertex_set(imask)
+    flat = subtree_alpha(t)[1]
     nodes = t.nodes
     order = []
     stack = [t.root]
@@ -160,36 +193,23 @@ def _footprint(t: Cotree, mask: int) -> list[int]:
         u = stack.pop()
         order.append(u)
         node = nodes[u]
-        if node.kind != LEAF:
-            if nodes[node.right].vmask & mask:
+        if node.kind != LEAF and not flat[u]:
+            if nodes[node.right].vmask & imask:
                 stack.append(node.right)
-            if nodes[node.left].vmask & mask:
+            if nodes[node.left].vmask & imask:
                 stack.append(node.left)
-    return order
-
-
-def compute_ris_tables(t: Cotree, imask: int) -> dict[int, RisTable]:
-    """Bottom-up pass: the table of every cotree node for the start set ``imask``.
-
-    Only the footprint of the mask (the root and the nodes that meet it) is
-    built and stored; any other node reads as ``RisTable(0, [alpha])``.
-    Errors come in a fixed order: a vertex outside the tree (InputError),
-    then a prime leaf anywhere in the tree that is not chordal
-    (UnsupportedGraphClassError), then a dependent ``imask`` (InputError).
-    """
-    t.check_vertex_set(imask)
-    tables = _Tables(subtree_alpha(t))
-    nodes = t.nodes
-    for u in reversed(_footprint(t, imask)):
+    tables = _Tables(t, imask)
+    for u in reversed(order):
         node = nodes[u]
-        if node.kind == LEAF:
-            base = (imask & node.vmask).bit_count()
-            if node.is_trivial_leaf:
-                tables[u] = RisTable(base, [1] * (base + 1))
-            else:
-                values = chordal.leaf_ris_table(node.leaf_graph,
-                                                _leaf_local_mask(t, u, imask))
-                tables[u] = RisTable(base, values)
+        if flat[u]:
+            # its leaves are trivial, so only its joins could find the set
+            # dependent, and a whole-tree pass visits them just before u
+            if not (checked or is_independent(t.graph, imask & node.vmask)):
+                raise InputError("compute_ris_tables requires an independent set")
+        elif node.kind == LEAF:
+            values = chordal.leaf_ris_table(node.leaf_graph,
+                                            _leaf_local_mask(t, u, imask))
+            tables[u] = RisTable((imask & node.vmask).bit_count(), values)
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:
@@ -216,6 +236,7 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
     freedom is 0 and no join blocks its empty side.
     """
     check_token_bound(k, ris[t.root].base)
+    alpha, flat = subtree_alpha(t)
     nodes = t.nodes
     freedom = [0] * len(nodes)
     freedom[t.root] = k
@@ -232,7 +253,11 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
             blocked |= nodes[emp].vmask
             stack.append(occ)
         elif node.kind == UNION:
-            x, y = union_split(ris[node.left], ris[node.right], freedom[u])
+            f = freedom[u]
+            if flat[u]:  # union_split's fixpoint on flat tables, in one step
+                x, y = max(0, f - alpha[node.right]), max(0, f - alpha[node.left])
+            else:
+                x, y = union_split(ris[node.left], ris[node.right], f)
             freedom[node.left], freedom[node.right] = x, y
             if x:
                 stack.append(node.left)
@@ -251,26 +276,41 @@ def _decide_tree(t: Cotree, amask: int, bmask: int,
                  k: int) -> tuple[Decision, NodeValues]:
     """The verdict on the graph's cotree ``t``, with A's top-down values.
 
-    Requires independent sets and 0 <= k <= min(|A|, |B|).  A leaf where A
-    and B differ fails if either set's table is pinned at its freedom.  Both
-    checks read only the footprint of A | B, in preorder: off it, both
-    freedoms are 0 and no leaf meets A ^ B.
+    Requires sets that ``_check_independent`` has passed, so the table
+    passes do not test them again, and 0 <= k <= min(|A|, |B|).  The first
+    node in preorder whose freedoms differ fails; failing that, the first
+    leaf where A and B differ and either set's table is pinned at its
+    freedom.  Both checks visit only the nodes where either freedom is
+    positive, in preorder: they form a subtree holding the root, the
+    freedoms elsewhere are both 0, and a table is pinned only at a positive
+    freedom.
     """
-    ris_a = compute_ris_tables(t, amask)
-    ris_b = compute_ris_tables(t, bmask)
+    ris_a = compute_ris_tables(t, amask, checked=True)
+    ris_b = compute_ris_tables(t, bmask, checked=True)
     vals_a = compute_freedom(t, k, ris_a)
     vals_b = compute_freedom(t, k, ris_b)
-    order = _footprint(t, amask | bmask)
-    for u in order:
-        if vals_a.freedom[u] != vals_b.freedom[u]:
-            return Decision(False, (u, FREEDOM_MISMATCH)), vals_a
+    fa, fb = vals_a.freedom, vals_b.freedom
     diff = amask ^ bmask
-    for u in order:
-        node = t.nodes[u]
-        if node.kind == LEAF and diff & node.vmask and (
-                chordal.pinned(ris_a[u].values, vals_a.freedom[u])
-                or chordal.pinned(ris_b[u].values, vals_a.freedom[u])):
-            return Decision(False, (u, LEAF_UNREACHABLE)), vals_a
+    nodes = t.nodes
+    stuck = None
+    stack = [t.root]
+    while stack:
+        u = stack.pop()
+        f = fa[u]
+        if f != fb[u]:
+            return Decision(False, (u, FREEDOM_MISMATCH)), vals_a
+        node = nodes[u]
+        if node.kind != LEAF:
+            if fa[node.right] or fb[node.right]:
+                stack.append(node.right)
+            if fa[node.left] or fb[node.left]:
+                stack.append(node.left)
+        elif stuck is None and diff & node.vmask and (
+                chordal.pinned(ris_a[u].values, f)
+                or chordal.pinned(ris_b[u].values, f)):
+            stuck = u
+    if stuck is not None:
+        return Decision(False, (stuck, LEAF_UNREACHABLE)), vals_a
     return Decision(True), vals_a
 
 

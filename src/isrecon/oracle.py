@@ -13,7 +13,7 @@ import random
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .cotree import Cotree, build_maximal_cotree
+from .cotree import Cotree, cotree_of
 from .errors import InputError, OracleCapacityError
 from .graph import Graph, bits, is_independent, mask_of, vertex_set
 
@@ -296,7 +296,10 @@ def oracle_diameter(g: Graph, k: int, model: str = TAR) -> int:
 
 
 def gen_cograph(n: int, seed: int) -> tuple[Graph, Cotree]:
-    """A random cograph with its maximal cotree; deterministic in seed."""
+    """A random cograph with its maximal cotree; deterministic in seed.
+
+    The tree comes from ``cotree_of``, so a query on ``g`` next reuses it.
+    """
     if n < 1:
         raise InputError("need at least one vertex")
     rng = random.Random(seed)
@@ -319,7 +322,7 @@ def gen_cograph(n: int, seed: int) -> tuple[Graph, Cotree]:
         stack.append(left)
         stack.append(right)
     g = Graph(n, adj)
-    return g, build_maximal_cotree(g)
+    return g, cotree_of(g)
 
 
 def gen_chordal(n: int, density: float, seed: int) -> Graph:

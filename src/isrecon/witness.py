@@ -5,8 +5,8 @@ other jump can be written down.  When the decision procedure answers yes,
 the at most 4n - |A| - |B| moves are assembled in three legs: climb from A
 to a maximum independent set of the accessible subgraph, swap join sides
 between two maximum sets, and descend (B's climb, reversed) to B.  A climb
-is likewise a start set plus steps, built in one postorder pass that reads
-each subtree's alpha from entry 0 of its RIS table.
+is likewise a start set plus steps, built in one postorder pass over each
+subtree's alpha and, at the unions that are not flat, the RIS tables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from operator import or_, xor
 from typing import Iterable, NamedTuple
 
 from .cotree import Cotree, JOIN, cotree_of, restrict
-from .engine import (NodeValues, RisTable, _check_independent, _decide_tree,
+from .engine import (NodeValues, _check_independent, _decide_tree, _Tables,
                      compute_ris_tables, subtree_alpha)
 from .errors import (InputError, InternalError, UnreachableError,
                      UnsupportedGraphClassError)
@@ -114,39 +114,42 @@ def build_su_sequence(t: Cotree, u: int, imask: int) -> SuSequence:
     return _su_sequence(t, u, compute_ris_tables(t, imask))
 
 
-def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
+def _su_sequence(t: Cotree, u: int, tables: _Tables) -> SuSequence:
     """``build_su_sequence`` given the start set's tables on ``t``.
 
-    The set is read only through ``tables``: a trivial leaf is occupied when
-    its base is 1.  Every node keeps its climb as (start mask, top mask,
-    steps).  A subtree's alpha is entry 0 of its table, every climb tops out
-    at a maximum set of its subtree, and an unoccupied join takes the top of
-    its child with the larger alpha (the left child on ties).
+    The set is ``tables.imask``.  Every node keeps its climb as (start
+    mask, top mask, steps).  Every climb tops out at a maximum set of its
+    subtree, and an unoccupied join takes the top of its child with the
+    larger alpha (the left child on ties).  Only the unions that are not
+    flat read tables: on flat tables the left child improves at every bound
+    until it tops out, so a flat union's climb is the left child's followed
+    by the right one's.
     """
+    nodes = t.nodes
+    imask = tables.imask
+    alpha, flat = subtree_alpha(t)
     climbs: dict[int, tuple[int, int, list[Step]]] = {}
     for x in t.postorder(u):
-        node = t.nodes[x]
-        tab = tables[x]
+        node = nodes[x]
         if node.is_leaf:
             if not node.is_trivial_leaf:
                 raise UnsupportedGraphClassError(
                     "witness construction requires single-vertex leaves")
             v = node.vmask
-            climbs[x] = ((v, v, []) if tab.base
+            climbs[x] = ((v, v, []) if v & imask
                          else (0, v, [((), (v.bit_length() - 1,))]))
         elif node.kind == JOIN:
-            alpha_u = tab.values[0]
-            if tab.base == 0:
+            if not imask & node.vmask:
                 top = climbs[node.left][1]
-                if top.bit_count() < alpha_u:
+                if top.bit_count() < alpha[x]:
                     top = climbs[node.right][1]
                 climbs[x] = (0, top, [((), tuple(bits(top)))])
                 continue
             occ, emp = node.left, node.right
-            if tables[occ].base == 0:
+            if not imask & nodes[occ].vmask:
                 occ, emp = node.right, node.left
             start, top, steps = climbs[occ]  # only x reads it: extend in place
-            if top.bit_count() < alpha_u:
+            if top.bit_count() < alpha[x]:
                 switch = climbs[emp][1]
                 steps.append((tuple(bits(top)), tuple(bits(switch))))
                 top = switch
@@ -154,12 +157,17 @@ def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
         else:  # union: interleave the children's climbs
             start_v, top_v, steps_v = climbs[node.left]
             start_w, top_w, steps_w = climbs[node.right]
+            if flat[x]:
+                steps_v += steps_w  # only x reads them: extend in place
+                climbs[x] = (start_v | start_w, top_v | top_w, steps_v)
+                continue
             tv, tw = tables[node.left].values, tables[node.right].values
+            base = tables[x].base
             q, r = start_v.bit_count(), start_w.bit_count()
             b = c = 0
             steps = []
             while q != tv[0] or r != tw[0]:
-                for ell in range(tab.base, -1, -1):
+                for ell in range(base, -1, -1):
                     if tv[max(ell - r, 0)] > q:
                         step = steps_v[b]
                         b += 1
@@ -178,14 +186,16 @@ def _su_sequence(t: Cotree, u: int, tables: dict[int, RisTable]) -> SuSequence:
     return SuSequence(vertex_set(start), steps)
 
 
-def sequence_to_max(t: Cotree, imask: int, k: int) -> TarSequence:
+def sequence_to_max(t: Cotree, imask: int, k: int, *,
+                    checked: bool = False) -> TarSequence:
     """Expand the root climb into a k-TAR-sequence from ``imask`` to a maximum set.
 
     Requires that a maximum independent set is reachable at threshold ``k``
     (true after restriction to the accessible subgraph); the result has
-    length at most 2n - |imask| - alpha.
+    length at most 2n - |imask| - alpha.  ``checked`` is handed to the
+    table pass (see ``compute_ris_tables``).
     """
-    tables = compute_ris_tables(t, imask)
+    tables = compute_ris_tables(t, imask, checked=checked)
     root = tables[t.root]
     kk = max(k, 0)
     if kk > root.base or root.values[kk] != root.values[0]:
@@ -226,7 +236,7 @@ def bridge_max_sets(t: Cotree, amask: int, bmask: int, k: int) -> TarSequence:
     if not t.all_leaves_trivial():
         raise UnsupportedGraphClassError(
             "witness construction requires single-vertex leaves")
-    alpha = subtree_alpha(t)[t.root]
+    alpha = subtree_alpha(t)[0][t.root]
     for m in (amask, bmask):
         if m.bit_count() != alpha or not is_independent(t.graph, m):
             raise InputError("bridging requires maximum independent sets")
@@ -268,11 +278,11 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     r = restrict(t, accessible_subgraph(t, vals_a))
     if (amask | bmask) & ~r.nodes[r.root].vmask:
         raise InternalError("an endpoint vertex was classified inaccessible")
-    seq_a = sequence_to_max(r, amask, k)
+    seq_a = sequence_to_max(r, amask, k, checked=True)
     top_a = _end_mask(amask, seq_a.steps)
     if amask == bmask:
         return TarSequence(vertex_set(amask), [], k, top_a.bit_count())
-    seq_b = sequence_to_max(r, bmask, k)
+    seq_b = sequence_to_max(r, bmask, k, checked=True)
     top_b = _end_mask(bmask, seq_b.steps)
     bridge = bridge_max_sets(r, top_a, top_b, k)
     descent = [("add" if op == "remove" else "remove", v)

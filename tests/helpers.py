@@ -283,6 +283,22 @@ def full_ris_tables(t, imask: int) -> dict:
     return tables
 
 
+def flat_nodes(t) -> set:
+    """The flat nodes of ``t`` by their definition, with each subtree's alpha
+    from the reference pass: a trivial leaf, a union of two flat children,
+    or a join of two flat children with equal alpha."""
+    alpha = {u: tab.values[0] for u, tab in full_ris_tables(t, 0).items()}
+    flat = set()
+    for u in t.postorder():
+        node = t.nodes[u]
+        kids = {node.left, node.right}
+        if node.is_trivial_leaf or (node.kind == UNION and kids <= flat) or (
+                node.kind == JOIN and kids <= flat
+                and alpha[node.left] == alpha[node.right]):
+            flat.add(u)
+    return flat
+
+
 def full_freedom(t, k: int, ris: dict) -> tuple[dict, dict]:
     """Reference freedom pass: freedom and blocked flag of every node, top-down."""
     freedom = {t.root: k}

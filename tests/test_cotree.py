@@ -14,6 +14,7 @@ import isrecon.chordal
 import isrecon.cotree
 from isrecon import (Graph, InputError, UnsupportedGraphClassError, build_witness,
                      decide, gen_cograph, gen_composed, is_cograph, tj_decide)
+from isrecon.cli import main
 from isrecon.cotree import Cotree, JOIN, UNION, build_maximal_cotree, cotree_of, realize
 from isrecon.engine import _decide_tree
 from isrecon.graph import bits
@@ -291,6 +292,22 @@ def test_consecutive_queries_on_one_graph_factor_it_once(monkeypatch):
         assert decide(h, [0], [6], 1).reachable
         assert not is_cograph(h)
     assert builds == [g, h] and len(induced) == len(chordality) == 3
+
+
+def test_a_generated_graph_is_factored_once(monkeypatch):
+    builds = _count_calls(monkeypatch, isrecon.cotree, "build_maximal_cotree")
+    graphs = []
+    for seed in range(4):
+        g, t = gen_cograph(9, seed)
+        assert decide(g, [0], [0], 1).reachable
+        assert build_witness(g, [0], [0], 1).length == 0
+        assert cotree_of(g) is t
+        graphs.append(g)
+    assert builds == graphs
+    # the fuzz command factors each graph it generates at most once
+    builds.clear()
+    assert main(["fuzz", "--count", "40", "--size", "10", "--seed", "0"]) == 0
+    assert builds and len(set(map(id, builds))) == len(builds)
 
 
 def test_an_equal_graph_is_factored_again(monkeypatch):

@@ -14,7 +14,8 @@ from isrecon.graph import mask_of
 from isrecon.oracle import get_oracle
 from isrecon.witness import build_su_sequence, sequence_to_max
 
-from helpers import c4, complete, edgeless, p3, p4, two_k2
+from helpers import (c4, complete, edgeless, flat_nodes, full_ris_tables, p3, p4,
+                     two_k2)
 
 
 def table(base, values):
@@ -87,44 +88,63 @@ def test_compute_ris_tables_two_k2():
 
 @pytest.mark.parametrize("g", [gen_cograph(14, 5)[0], gen_composed([4, 5, 3], 0.5, 2)])
 def test_compute_ris_tables_builds_only_the_footprint(g):
+    # Stored: the root and the nodes that meet the set, save the flat nodes.
+    # Every other node reads as its whole-tree table.
     t = build_maximal_cotree(g)
+    flat = flat_nodes(t)
+    assert flat and set(t.preorder()) - flat  # both kinds occur
     sets = get_oracle(g).sets
     for imask in sets[:: max(1, len(sets) // 12)]:
         tabs = compute_ris_tables(t, imask)
         footprint = {u for u in t.preorder() if t.nodes[u].vmask & imask}
-        assert len(tabs) == (len(footprint) if imask else 1)
-        assert set(tabs) == footprint | {t.root}
+        stored = (footprint | {t.root}) - flat
+        assert set(tabs) == stored
+        ref = full_ris_tables(t, imask)
         for u in t.preorder():
-            if u in footprint or u == t.root:
-                continue
-            # a missed node reads as its subtree's alpha, and is not stored
-            vm = t.nodes[u].vmask
-            alpha = max((s & vm).bit_count() for s in sets)
-            assert tabs[u] == (0, [alpha])
-            assert u not in tabs
+            if u not in stored:
+                assert tabs[u] == (ref[u].base, ref[u].values)
+        assert set(tabs) == stored  # a read does not store
+
+
+def test_a_dependent_set_inside_a_flat_subtree_is_rejected():
+    # every node of a perfect matching is flat, so the pass stores nothing
+    t = build_maximal_cotree(Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
+    assert compute_ris_tables(t, mask_of([0, 2, 5])) == {}
+    with pytest.raises(InputError, match="compute_ris_tables requires an independent set"):
+        compute_ris_tables(t, mask_of([2, 3]))
 
 
 @pytest.mark.parametrize("leaf_first", [True, False])
 def test_table_pass_errors_come_in_a_fixed_order(leaf_first):
-    # a 5-vertex prime leaf beside an edge; the set is the edge's two ends
+    # A 5-vertex prime leaf beside a matching of one or two edges, each a
+    # flat join; the set is the two ends of the last edge.
     c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
     p5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    leaf_at, edge_at = (0, 5) if leaf_first else (2, 0)
-    edge = [edge_at, edge_at + 1]
+    for matching in (1, 2):
+        n = 5 + 2 * matching
+        leaf_at, edge_at = (0, 5) if leaf_first else (2 * matching, 0)
+        pairs = [(edge_at + 2 * i, edge_at + 2 * i + 1) for i in range(matching)]
+        edge = list(pairs[-1])
 
-    def tree(leaf_edges):
-        g = Graph.from_edges(7, [(u + leaf_at, v + leaf_at) for u, v in leaf_edges]
-                             + [tuple(edge)])
-        return build_maximal_cotree(g)
+        def tree(leaf_edges):
+            g = Graph.from_edges(n, [(u + leaf_at, v + leaf_at) for u, v in leaf_edges]
+                                 + pairs)
+            return build_maximal_cotree(g)
 
-    with pytest.raises(InputError, match="out of range"):
-        compute_ris_tables(tree(c5), mask_of(edge + [7]))
-    # C5 is not chordal: reported before the dependent set, wherever it sits
-    with pytest.raises(UnsupportedGraphClassError):
-        compute_ris_tables(tree(c5), mask_of(edge))
-    # P5 is chordal, so the dependent set is reported
-    with pytest.raises(InputError, match="independent"):
-        compute_ris_tables(tree(p5), mask_of(edge))
+        with pytest.raises(InputError, match="out of range"):
+            compute_ris_tables(tree(c5), mask_of(edge + [n]))
+        # C5 is not chordal: reported before the dependent set, wherever it sits
+        with pytest.raises(UnsupportedGraphClassError):
+            compute_ris_tables(tree(c5), mask_of(edge))
+        # P5 is chordal, so the dependent set is reported
+        with pytest.raises(InputError,
+                           match="compute_ris_tables requires an independent set"):
+            compute_ris_tables(tree(p5), mask_of(edge))
+        # dependent in the leaf too: the right subtree, which a postorder pass
+        # reaches first, reports; the edge is on the right when the leaf is first
+        first = "compute_ris_tables" if leaf_first else "leaf_ris_table"
+        with pytest.raises(InputError, match=f"{first} requires an independent set"):
+            compute_ris_tables(tree(p5), mask_of(edge + [leaf_at, leaf_at + 1]))
 
 
 def test_compute_freedom_blocks_empty_join_side():

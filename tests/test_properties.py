@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
                      gen_composed, is_cograph, validate_tar_sequence)
-from isrecon.chordal import alpha_chordal, chordality, leaf_reachable
+from isrecon.chordal import alpha_chordal, chordality, leaf_reachable, pinned
 from isrecon.cotree import UNION, build_maximal_cotree, realize
-from isrecon.engine import (RisTable, compute_freedom, compute_ris_tables, ris_union,
-                            union_split)
+from isrecon.engine import (FREEDOM_MISMATCH, LEAF_UNREACHABLE, RisTable, _decide_tree,
+                            compute_freedom, compute_ris_tables, ris_union,
+                            subtree_alpha, union_split)
 from isrecon.graph import bits, is_independent, mask_of, vertex_set
 from isrecon.oracle import get_oracle, oracle_accessible, oracle_reach
-from isrecon.witness import accessible_subgraph, bridge_max_sets
+from isrecon.witness import _su_sequence, accessible_subgraph, bridge_max_sets
 
-from helpers import (full_freedom, full_ris_tables, leaf_graphs, maximal_sets,
-                     reference_cotree, reference_ris_union, with_twin)
+from helpers import (c4, compose, connected_chordal, flat_nodes, full_freedom,
+                     full_ris_tables, leaf_graphs, maximal_sets, p4, reference_cotree,
+                     reference_ris_union, with_twin)
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -169,15 +171,20 @@ def test_ris_tables_monotone_and_bounded(inst):
 
 
 @st.composite
-def footprint_instances(draw):
-    """A cograph or a composition of chordal parts, a set and a token bound."""
+def mixed_graphs(draw):
+    """A cograph or a composition of chordal parts."""
     seed = draw(st.integers(min_value=0, max_value=10 ** 6))
     if draw(st.booleans()):
-        g, _ = gen_cograph(draw(st.integers(min_value=1, max_value=12)), seed)
-    else:
-        parts = draw(st.lists(st.integers(min_value=1, max_value=5),
-                              min_size=1, max_size=3))
-        g = gen_composed(parts, draw(st.sampled_from([0.3, 0.6, 0.9])), seed)
+        return gen_cograph(draw(st.integers(min_value=1, max_value=12)), seed)[0]
+    parts = draw(st.lists(st.integers(min_value=1, max_value=5),
+                          min_size=1, max_size=3))
+    return gen_composed(parts, draw(st.sampled_from([0.3, 0.6, 0.9])), seed)
+
+
+@st.composite
+def footprint_instances(draw):
+    """A cograph or a composition of chordal parts, a set and a token bound."""
+    g = draw(mixed_graphs())
     a = frozenset(bits(draw(st.sampled_from(get_oracle(g).sets))))
     return g, a, draw(st.integers(min_value=0, max_value=len(a)))
 
@@ -200,6 +207,68 @@ def test_footprint_passes_match_the_full_passes(inst):
                     for ell in range(tabs[u].base + 1)] == ref[u].tuples
         assert vals.freedom[u] == ref_freedom[u]
         assert (t.nodes[u].vmask & ~vals.blocked == 0) == ref_blocked[u]
+
+
+@SETTINGS
+@given(mixed_graphs())
+def test_flat_flags_match_their_definition_and_every_sets_tables(g):
+    t = build_maximal_cotree(g)
+    flat = {u for u, f in enumerate(subtree_alpha(t)[1]) if f}
+    assert flat == flat_nodes(t)
+    alpha = full_ris_tables(t, 0)
+    for imask in get_oracle(g).sets:
+        ref = full_ris_tables(t, imask)
+        for u in flat:
+            assert ref[u].values == alpha[u].values * (ref[u].base + 1)
+
+
+@st.composite
+def decision_instances(draw):
+    """A graph, two independent sets A and B and 0 <= k <= min(|A|, |B|).
+
+    Half the time a connected chordal graph H, nearly always a prime leaf,
+    is composed with the graph, within the oracle's cap, and A and B are
+    maximal sets meeting H; otherwise they are maximal half the time.  With
+    maximal sets k is the smaller size, so that pinned leaves occur.
+    """
+    g = draw(mixed_graphs())
+    hmask = 0
+    if draw(st.booleans()):
+        h = connected_chordal(draw(st.integers(min_value=4, max_value=5)), 0.5,
+                              draw(st.integers(min_value=0, max_value=10 ** 6)))
+        hmask = h.full_mask << g.n
+        g = compose(g, h, draw(st.booleans()))
+    pool = get_oracle(g).sets
+    maximal = bool(hmask) or draw(st.booleans())
+    if maximal:
+        pool = [m for m in maximal_sets(g) if m & hmask] or maximal_sets(g)
+    amask, bmask = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    low = min(amask.bit_count(), bmask.bit_count())
+    return g, amask, bmask, low if maximal else draw(st.integers(0, low))
+
+
+@SETTINGS
+@given(decision_instances())
+@example((p4(), mask_of([0, 3]), mask_of([1, 3]), 2))
+@example((compose(p4(), p4(), False), mask_of([0, 3, 4, 7]), mask_of([1, 3, 5, 7]), 4))
+@example((c4(), mask_of([0, 2]), mask_of([1, 3]), 1))
+def test_the_reported_failure_node_is_the_first_in_preorder(inst):
+    g, amask, bmask, k = inst
+    t = build_maximal_cotree(g)
+    verdict, _ = _decide_tree(t, amask, bmask, k)
+    ra, rb = full_ris_tables(t, amask), full_ris_tables(t, bmask)
+    fa, fb = full_freedom(t, k, ra)[0], full_freedom(t, k, rb)[0]
+    order = list(t.preorder())
+    mismatch = [u for u in order if fa[u] != fb[u]]
+    stuck = [u for u in order if t.nodes[u].is_leaf
+             and (amask ^ bmask) & t.nodes[u].vmask
+             and (pinned(ra[u].values, fa[u]) or pinned(rb[u].values, fb[u]))]
+    if mismatch:
+        assert verdict.failure_witness == (mismatch[0], FREEDOM_MISMATCH)
+    elif stuck:
+        assert verdict.failure_witness == (stuck[0], LEAF_UNREACHABLE)
+    else:
+        assert verdict == (True, None)
 
 
 # At ell = 2 the root union of this graph has the fixpoints (0, 0) and
@@ -298,6 +367,17 @@ def test_witness_valid_whenever_reachable(inst):
     validate_tar_sequence(g, seq)
     assert seq.sets[0] == a and seq.sets[-1] == b
     assert seq.length <= 4 * g.n - len(a) - len(b)
+
+
+@SETTINGS
+@given(cograph_instances())
+def test_a_flat_union_climbs_as_the_interleaving_does(inst):
+    g, a, _, _ = inst
+    t = build_maximal_cotree(g)
+    tabs = compute_ris_tables(t, mask_of(a))
+    su = _su_sequence(t, t.root, tabs)
+    t._flat = [False] * len(t.nodes)  # every union interleaves from its tables
+    assert _su_sequence(t, t.root, tabs) == su
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import isrecon.cotree
+import isrecon.engine
 from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
                      build_witness, decide, gen_cograph, validate_tar_sequence)
 from isrecon.cotree import build_maximal_cotree, realize, restrict
@@ -280,3 +281,22 @@ def test_build_witness_factors_once(monkeypatch):
     seq = build_witness(g, a, b, 1)
     assert calls == {"build_maximal_cotree": 1, "induced": 0}
     assert seq.sets[0] == a and seq.sets[-1] == b and seq.length > 0
+
+
+def test_build_witness_checks_each_set_for_independence_once(monkeypatch):
+    # Every node of a perfect matching is flat, so each table pass would
+    # test the set's part of the whole tree, had the sets not been checked.
+    g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    a, b = mask_of([0, 2]), mask_of([1, 3])
+    real = isrecon.engine.is_independent
+    calls = []
+
+    def counting(g, m):
+        calls.append(m)
+        return real(g, m)
+
+    monkeypatch.setattr(isrecon.engine, "is_independent", counting)
+    assert build_witness(g, vertex_set(a), vertex_set(b), 1).length > 0
+    assert calls == [a, b]
+    with pytest.raises(InputError, match="compute_ris_tables"):
+        sequence_to_max(build_maximal_cotree(g), mask_of([2, 3]), 1)
