@@ -13,9 +13,9 @@ rounds stop early once one merges fewer than a quarter of the live vertices,
 and the connectivity search then factors only the quotient left, in which
 every prime piece is a union of twin classes.
 
-A tree depends only on its graph, so ``cotree_of`` keeps the last graph
-factored with its tree; consecutive queries on one ``Graph`` object then
-share a single factorization.
+A tree depends only on its graph, so ``cotree_of`` keeps the last tree it
+built, whose ``graph`` is the memo's key; consecutive queries on one
+``Graph`` object then share a single factorization.
 """
 
 from __future__ import annotations
@@ -89,16 +89,14 @@ class Cotree:
         """
         return reversed(list(self.preorder(start)))
 
-    def leaves(self) -> Iterator[int]:
-        return (u for u in self.preorder() if self.nodes[u].is_leaf)
-
     def check_vertex_set(self, m: int) -> None:
         """Raise InputError unless the vertex mask ``m`` lies in this tree."""
         if m & ~self.nodes[self.root].vmask:
             raise InputError("vertex mask out of range for the cotree")
 
     def all_leaves_trivial(self) -> bool:
-        return all(self.nodes[u].is_trivial_leaf for u in self.leaves())
+        # L leaves and L - 1 two-child splits; L = |V| iff no leaf is prime
+        return len(self.nodes) == 2 * self.nodes[self.root].vmask.bit_count() - 1
 
     def dump(self) -> str:
         """Indented text rendering, one line per node."""
@@ -192,13 +190,12 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     live = list(range(n))
     alive = g.full_mask
     grown = 0  # vertices that have held a class of two or more
-    raw = True  # round 1 groups by the raw rows, as every vertex is live
     while len(live) > 1:
         first: dict[int, int] = {}  # row or closed row -> its first vertex
         kept = []
         dead = 0
         for v in live:
-            row = adj[v] if raw else adj[v] & alive
+            row = adj[v] & alive
             # A row lacks its own vertex and a closed row holds it, so the
             # two kinds of key never collide in one dict.
             kind = UNION
@@ -231,7 +228,6 @@ def build_maximal_cotree(g: Graph) -> Cotree:
                 masks[part] |= masks[x] if x >= n else bit
             dead |= bit
         alive ^= dead
-        raw = False
         stalled = len(live) - len(kept) < len(live) // 4
         live = kept
         if stalled:
@@ -277,28 +273,18 @@ def build_maximal_cotree(g: Graph) -> Cotree:
                 mask = nodes[u].vmask
                 nodes[u].leaf_graph = g if mask == g.full_mask else g.induced(mask)
                 continue
-            # The largest quotient part takes the vertices the others leave,
-            # so only the smaller ones gather their classes.
-            largest = max(found, key=int.bit_count)
-            rest = 0
             for p in found:
-                if p & (p - 1):
-                    if p == largest:
-                        continue
+                if p & (p - 1):  # a quotient part gathers its classes' vertices
                     vmask = p
                     for r in bits(p & grown):
                         vmask |= masks[top[r]]
-                    x = add_quotient_part(p, vmask)
-                    parts.append(x)
+                    parts.append(add_quotient_part(p, vmask))
                 else:
                     x = top[p.bit_length() - 1]
                     if kinds.get(x) == kind:  # its children join the split
                         parts += kids.pop(x)
                     else:
                         parts.append(x)
-                rest |= masks[x] if x >= n else 1 << x
-            if largest & (largest - 1):
-                parts.append(add_quotient_part(largest, nodes[u].vmask & ~rest))
         parts.sort(key=low.__getitem__)
         level = []
         for x in parts:
@@ -316,27 +302,26 @@ def build_maximal_cotree(g: Graph) -> Cotree:
     return t
 
 
-# The last graph factored by ``cotree_of`` and its tree.  It is keyed by
-# identity: an equal graph may carry another ``origin``, which the tree's
-# ``graph`` exposes, and hashing the rows would cost O(n^2/64) per call.
-_last: tuple = (None, None)
+# The last tree built by ``cotree_of``, keyed by the identity of its graph:
+# an equal graph may carry another ``origin``, which the tree's ``graph``
+# exposes, and hashing the rows would cost O(n^2/64) per call.
+_last: Optional[Cotree] = None
 
 
 def cotree_of(g: Graph) -> Cotree:
     """The maximal cotree of ``g``, built once for consecutive calls on ``g``.
 
-    Only the last graph and its tree are kept, and both stay alive until
-    another graph is factored.  A build that raises keeps nothing.
+    Only the last tree is kept, and it keeps its graph alive until another
+    graph is factored.  A build that raises keeps nothing.
     """
     global _last
-    last_g, t = _last  # one read, so a concurrent call cannot mix two pairs
-    if last_g is g:
+    t = _last  # one read, so a concurrent call cannot see another graph's tree
+    if t is not None and t.graph is g:
         return t
-    # Drop the old pair first, so that two trees are never alive at once.
-    del last_g, t
-    _last = (None, None)
-    t = build_maximal_cotree(g)
-    _last = (g, t)
+    # Drop the old tree first, so that two trees are never alive at once.
+    del t
+    _last = None
+    _last = t = build_maximal_cotree(g)
     return t
 
 

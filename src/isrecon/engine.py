@@ -227,15 +227,15 @@ def check_token_bound(k: int, size: int) -> None:
         raise InputError(f"token bound k={k} is outside 0..{size}, the size of the set")
 
 
-def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
+def compute_freedom(t: Cotree, k: int, ris: _Tables) -> NodeValues:
     """Top-down pass over the set's tables ``ris``, for 0 <= k <= its size.
 
-    The set is read only through ``ris``: a join's occupied child is the one
-    whose table base is positive.  Only the nodes of positive freedom are
-    visited, and they are all occupied: below a node of freedom 0 every
-    freedom is 0 and no join blocks its empty side.
+    A join's occupied child is the one that the set ``ris.imask`` meets, so
+    only the tables of the unions that are not flat are read.  Only the
+    nodes of positive freedom are visited, and they are all occupied: below
+    a node of freedom 0 every freedom is 0 and no join blocks its empty side.
     """
-    check_token_bound(k, ris[t.root].base)
+    check_token_bound(k, ris.imask.bit_count())
     alpha, flat = subtree_alpha(t)
     nodes = t.nodes
     freedom = [0] * len(nodes)
@@ -247,7 +247,7 @@ def compute_freedom(t: Cotree, k: int, ris: dict[int, RisTable]) -> NodeValues:
         node = nodes[u]
         if node.kind == JOIN:
             occ, emp = node.left, node.right
-            if ris[emp].base > 0:
+            if ris.imask & nodes[emp].vmask:
                 occ, emp = emp, occ
             freedom[occ] = freedom[u]
             blocked |= nodes[emp].vmask

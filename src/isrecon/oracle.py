@@ -58,23 +58,11 @@ class SolutionOracle:
         return m
 
     def _expand(self, seen: set, stack: list, k: int) -> None:
-        g = self.g
-        full = g.full_mask
-        ua = self.union_adj
         while stack:
-            s = stack.pop()
-            free = full & ~s & ~ua[s]
-            for v in bits(free):
-                t = s | (1 << v)
+            for t in self.tar_neighbors(stack.pop(), k):
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-            if s.bit_count() > k:
-                for v in bits(s):
-                    t = s ^ (1 << v)
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
 
     def reachable(self, amask: int, k: int) -> frozenset:
         """All independent sets k-TAR-reachable from ``amask``."""

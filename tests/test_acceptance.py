@@ -248,7 +248,8 @@ def test_criterion_9_oracle_equivalence_prime_leaves(capsys):
                          rng.choice([0.2, 0.5, 0.8]), seed)
         assert g.n <= 14
         t = build_maximal_cotree(g)
-        big_leaves += sum(t.nodes[u].vmask.bit_count() >= 5 for u in t.leaves())
+        big_leaves += sum(t.nodes[u].is_leaf and t.nodes[u].vmask.bit_count() >= 5
+                          for u in t.preorder())
         # equal-size maximal sets at k = their size are where leaves get pinned
         for a, b, k in (sample_triples(g, 10, seed + 11000)
                         + maximal_pairs(g, 10, seed + 12000)):

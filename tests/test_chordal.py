@@ -126,7 +126,8 @@ def test_decide_analyses_each_prime_leaf_once(monkeypatch):
     monkeypatch.setattr(chordal, "chordality", counting)
     g = gen_composed([6, 7, 6], 0.5, 5)
     t = build_maximal_cotree(g)
-    prime = [u for u in t.leaves() if not t.nodes[u].is_trivial_leaf]
+    prime = [u for u in t.preorder()
+             if t.nodes[u].is_leaf and not t.nodes[u].is_trivial_leaf]
     assert len(prime) == 3
     decide(g, [0], [6], 1)
     assert len(calls) == len(prime)

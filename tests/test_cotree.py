@@ -15,7 +15,8 @@ import isrecon.cotree
 from isrecon import (Graph, InputError, UnsupportedGraphClassError, build_witness,
                      decide, gen_cograph, gen_composed, is_cograph, tj_decide)
 from isrecon.cli import main
-from isrecon.cotree import Cotree, JOIN, UNION, build_maximal_cotree, cotree_of, realize
+from isrecon.cotree import (Cotree, JOIN, UNION, build_maximal_cotree, cotree_of, realize,
+                            restrict)
 from isrecon.engine import _decide_tree
 from isrecon.graph import bits
 from isrecon.oracle import get_oracle
@@ -75,7 +76,7 @@ def test_multiway_split_folds_balanced():
             assert len(internal) == k - 1
             assert all(t.nodes[u].kind == kind for u in internal)
             assert cotree_depth(t) == math.ceil(math.log2(k))
-            leaves = [t.nodes[u].vmask for u in t.leaves()]
+            leaves = [t.nodes[u].vmask for u in t.preorder() if t.nodes[u].is_leaf]
             assert sorted(leaves) == [1 << v for v in range(k)]
 
 
@@ -92,6 +93,35 @@ def test_is_cograph_known_cases():
     assert is_cograph(p3())
     assert not is_cograph(p4())
     assert not is_cograph(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+
+
+C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+@st.composite
+def leaf_check_trees(draw):
+    """The cotree of a cograph, a composition, C5 (a prime root) or C5 joined
+    to a cograph (a prime leaf below a join), or that tree restricted to a
+    union of its leaves."""
+    shape = draw(st.sampled_from(["cograph", "composed", "c5", "c5 join"]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    g = {"cograph": lambda: gen_cograph(n, seed)[0],
+         "composed": lambda: gen_composed([n, 1 + seed % 20], 0.5, seed),
+         "c5": lambda: C5,
+         "c5 join": lambda: compose(C5, gen_cograph(n, seed)[0], join=True)}[shape]()
+    t = build_maximal_cotree(g)
+    if draw(st.booleans()):
+        leaves = [t.nodes[u].vmask for u in t.preorder() if t.nodes[u].is_leaf]
+        t = restrict(t, reduce(or_, draw(st.lists(st.sampled_from(leaves), min_size=1))))
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaf_check_trees())
+def test_all_leaves_trivial_agrees_with_a_walk_over_the_leaves(t):
+    walked = all(t.nodes[u].is_trivial_leaf for u in t.preorder() if t.nodes[u].is_leaf)
+    assert t.all_leaves_trivial() == walked
 
 
 def test_cotree_rejects_empty_graph():

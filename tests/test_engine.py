@@ -6,7 +6,8 @@ import pytest
 
 from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
                      decide, gen_cograph, gen_composed, tj_decide)
-from isrecon.cotree import build_maximal_cotree
+from isrecon import engine
+from isrecon.cotree import UNION, build_maximal_cotree
 from isrecon.engine import (FREEDOM_MISMATCH, RisTable, SIZE_BELOW_THRESHOLD,
                             compute_freedom, compute_ris_tables, ris_join,
                             ris_union, union_split)
@@ -161,6 +162,39 @@ def test_compute_freedom_blocks_empty_join_side():
     # the empty side lies inside the blocked mask, the occupied side does not
     assert t.nodes[empty].vmask & ~vals.blocked == 0
     assert t.nodes[occupied].vmask & ~vals.blocked
+
+
+def test_compute_freedom_reads_tables_only_below_unions_that_are_not_flat(monkeypatch):
+    reads = []
+    real = engine._Tables.__missing__
+
+    def counting(self, u):
+        reads.append(u)
+        return real(self, u)
+
+    monkeypatch.setattr(engine._Tables, "__missing__", counting)
+    # every node of a perfect matching is flat, so no table is read at all
+    n = 40
+    t = build_maximal_cotree(Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)]))
+    a = mask_of(range(0, n, 2))
+    tabs = compute_ris_tables(t, a)
+    reads.clear()
+    vals = compute_freedom(t, n // 2, tabs)
+    assert reads == []
+    assert all(vals.freedom[u] for u, node in enumerate(t.nodes) if not node.is_leaf)
+    # with prime leaves, the reads are the children of the unions visited
+    for seed in range(20):
+        g = gen_composed([5, 4, 6, 3], 0.5, seed)
+        t = build_maximal_cotree(g)
+        flat = flat_nodes(t)
+        below_split = {x for u, node in enumerate(t.nodes)
+                       if node.kind == UNION and u not in flat
+                       for x in (node.left, node.right)}
+        for imask in get_oracle(g).sets[::97]:
+            tabs = compute_ris_tables(t, imask)
+            reads.clear()
+            compute_freedom(t, imask.bit_count(), tabs)
+            assert set(reads) <= below_split, seed
 
 
 def test_compute_freedom_at_zero_blocks_nothing():
