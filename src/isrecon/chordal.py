@@ -6,8 +6,8 @@ is a perfect elimination ordering exactly when the graph is chordal, and a
 maximum independent set follows greedily along that ordering.  Reachability
 and maximum-reachable-size inside a chordal leaf reduce to a dominating-set
 test, because chordal graphs are even-hole-free; a set's leaf table records
-the test's answer, and ``pinned`` reads it.  Each leaf graph is analysed
-once: its independence number is stored on the immutable ``Graph``.
+the test's answer, and ``pinned`` reads it.  Nothing is stored on a leaf:
+its independence number lives on its cotree (``engine.subtree_alpha``).
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def chordality(g: Graph) -> EliminationOrdering:
     return EliminationOrdering(tuple(reversed(sigma)), perfect)
 
 
-def alpha_chordal(g: Graph, peo: EliminationOrdering) -> tuple[int, frozenset]:
-    """Maximum independent set size of a chordal graph, with a witness set.
+def alpha_chordal(g: Graph, peo: EliminationOrdering) -> int:
+    """A maximum independent set of a chordal graph, as a vertex mask.
 
     Greedy over the elimination ordering: take each vertex unless a chosen
     vertex already dominates it.
@@ -81,7 +81,7 @@ def alpha_chordal(g: Graph, peo: EliminationOrdering) -> tuple[int, frozenset]:
         if not (excluded & b):
             chosen |= b
             excluded |= b | g.adj[v]
-    return chosen.bit_count(), frozenset(bits(chosen))
+    return chosen
 
 
 def is_dominating(g: Graph, smask: int) -> bool:
@@ -94,18 +94,15 @@ def is_dominating(g: Graph, smask: int) -> bool:
     return covered == g.full_mask
 
 
-def _leaf_alpha(g: Graph) -> int:
-    """The independence number of a chordal leaf, from one search per graph.
+def leaf_alpha(g: Graph) -> int:
+    """The independence number of a chordal leaf, from one search.
 
-    Raises UnsupportedGraphClassError on every call for a graph that is not
-    chordal: only a successful analysis is stored.
+    Raises UnsupportedGraphClassError if ``g`` is not chordal.
     """
-    if g._chordal_alpha is None:
-        peo = chordality(g)
-        if not peo.is_perfect:
-            raise UnsupportedGraphClassError("leaf graph is not chordal")
-        g._chordal_alpha = alpha_chordal(g, peo)[0]
-    return g._chordal_alpha
+    peo = chordality(g)
+    if not peo.is_perfect:
+        raise UnsupportedGraphClassError("leaf graph is not chordal")
+    return alpha_chordal(g, peo).bit_count()
 
 
 def pinned(values: list[int], ell: int) -> bool:
@@ -127,20 +124,21 @@ def leaf_reachable(g: Graph, amask: int, bmask: int, ell: int) -> bool:
         raise InputError(f"vertex mask out of range for n={g.n}")
     if amask.bit_count() < ell or bmask.bit_count() < ell:
         raise InputError("both sets must have size at least the threshold")
-    ta, tb = leaf_ris_table(g, amask), leaf_ris_table(g, bmask)
+    alpha = leaf_alpha(g)
+    ta, tb = leaf_ris_table(g, amask, alpha), leaf_ris_table(g, bmask, alpha)
     return amask == bmask or not (pinned(ta, ell) or pinned(tb, ell))
 
 
-def leaf_ris_table(g: Graph, imask: int) -> list[int]:
+def leaf_ris_table(g: Graph, imask: int, alpha: int) -> list[int]:
     """Maximum reachable independent-set size per threshold, for a chordal leaf.
 
     Entry ``ell`` is the starting size when the start mask ``imask`` is a
     dominating set of exactly ``ell`` tokens, which ``pinned`` reads back,
-    and the graph's independence number otherwise.  Index range ``0..|imask|``.
+    and ``alpha``, the leaf's independence number, otherwise; indices
+    ``0..|imask|``.
     """
     if not is_independent(g, imask):
         raise InputError("leaf_ris_table requires an independent set")
-    alpha = _leaf_alpha(g)
     size = imask.bit_count()
     values = [alpha] * (size + 1)
     if size > 0 and is_dominating(g, imask):

@@ -146,9 +146,9 @@ def subtree_alpha(t: Cotree) -> tuple[list[int], list[bool]]:
     node is flat, by node id.
 
     Computed once per tree, in one postorder pass: alpha is 1 at a trivial
-    leaf, the sum at a union, the larger child at a join, and the leaf
-    table's entry 0 at a prime leaf.  Raises UnsupportedGraphClassError if
-    any prime leaf is not chordal.
+    leaf, the sum at a union, the larger child at a join, and
+    ``chordal.leaf_alpha`` at a prime leaf.  Raises UnsupportedGraphClassError
+    if any prime leaf is not chordal.
     """
     if t._alpha is None:
         nodes = t.nodes
@@ -164,7 +164,10 @@ def subtree_alpha(t: Cotree) -> tuple[list[int], list[bool]]:
                 alpha[u] = max(a, b)
                 flat[u] = flat[node.left] and flat[node.right] and a == b
             elif node.leaf_graph is not None:
-                alpha[u] = chordal.leaf_ris_table(node.leaf_graph, 0)[0]
+                # Through the empty set's table: the benchmark's trace counts
+                # prime leaves by their leaf_ris_table calls (ROADMAP item 1).
+                leaf = node.leaf_graph
+                alpha[u] = chordal.leaf_ris_table(leaf, 0, chordal.leaf_alpha(leaf))[0]
                 flat[u] = False
         t._flat = flat  # before _alpha, which marks the pass as done
         t._alpha = alpha
@@ -185,7 +188,7 @@ def compute_ris_tables(t: Cotree, imask: int, *, checked: bool = False) -> _Tabl
     (UnsupportedGraphClassError), then a dependent ``imask`` (InputError).
     """
     t.check_vertex_set(imask)
-    flat = subtree_alpha(t)[1]
+    alpha, flat = subtree_alpha(t)
     nodes = t.nodes
     order = []
     stack = [t.root]
@@ -207,9 +210,9 @@ def compute_ris_tables(t: Cotree, imask: int, *, checked: bool = False) -> _Tabl
             if not (checked or is_independent(t.graph, imask & node.vmask)):
                 raise InputError("compute_ris_tables requires an independent set")
         elif node.kind == LEAF:
-            values = chordal.leaf_ris_table(node.leaf_graph,
-                                            _leaf_local_mask(t, u, imask))
-            tables[u] = RisTable((imask & node.vmask).bit_count(), values)
+            values = chordal.leaf_ris_table(
+                node.leaf_graph, _leaf_local_mask(t, u, imask), alpha[u])
+            tables[u] = RisTable(len(values) - 1, values)
         elif node.kind == UNION:
             tables[u] = ris_union(tables[node.left], tables[node.right])
         elif node.kind == JOIN:

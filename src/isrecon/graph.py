@@ -3,7 +3,9 @@
 Adjacency is one bitmask per vertex, and below the package root so is every
 vertex set (bit v is vertex v), which keeps membership tests and unions cheap.
 Induced subgraphs carry an ``origin`` map back to the ids of the graph they
-were ultimately extracted from, and extraction composes.
+were ultimately extracted from, and extraction composes.  A graph stores no
+analysis of itself: what is computed from it, such as each prime leaf's
+independence number, lives on its cotree.
 """
 
 from __future__ import annotations
@@ -33,14 +35,9 @@ def vertex_set(mask: int) -> frozenset:
 
 
 class Graph:
-    """A simple undirected graph; immutable after construction.
+    """A simple undirected graph; immutable after construction."""
 
-    ``_chordal_alpha`` is the independence number of a chordal graph, which
-    ``chordal`` fills on its first analysis; the graph cannot change, so the
-    value cannot go stale.
-    """
-
-    __slots__ = ("n", "adj", "origin", "full_mask", "_chordal_alpha")
+    __slots__ = ("n", "adj", "origin", "full_mask")
 
     def __init__(self, n: int, adj, origin=None):
         if n < 0:
@@ -58,7 +55,6 @@ class Graph:
         self.adj = adj
         self.origin = tuple(origin) if origin is not None else tuple(range(n))
         self.full_mask = full
-        self._chordal_alpha = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -119,11 +119,11 @@ def _su_sequence(t: Cotree, u: int, tables: _Tables) -> SuSequence:
 
     The set is ``tables.imask``.  Every node keeps its climb as (start
     mask, top mask, steps).  Every climb tops out at a maximum set of its
-    subtree, and an unoccupied join takes the top of its child with the
-    larger alpha (the left child on ties).  Only the unions that are not
-    flat read tables: on flat tables the left child improves at every bound
-    until it tops out, so a flat union's climb is the left child's followed
-    by the right one's.
+    subtree, so a top has alpha vertices, and an unoccupied join takes the
+    top of its child with the larger alpha (the left child on ties).  Only
+    the unions that are not flat read tables, their children's: on flat
+    tables the left child improves at every bound until it tops out, so a
+    flat union's climb is the left child's followed by the right one's.
     """
     nodes = t.nodes
     imask = tables.imask
@@ -140,16 +140,15 @@ def _su_sequence(t: Cotree, u: int, tables: _Tables) -> SuSequence:
                          else (0, v, [((), (v.bit_length() - 1,))]))
         elif node.kind == JOIN:
             if not imask & node.vmask:
-                top = climbs[node.left][1]
-                if top.bit_count() < alpha[x]:
-                    top = climbs[node.right][1]
+                top = climbs[node.left if alpha[node.left] == alpha[x]
+                             else node.right][1]
                 climbs[x] = (0, top, [((), tuple(bits(top)))])
                 continue
             occ, emp = node.left, node.right
             if not imask & nodes[occ].vmask:
                 occ, emp = node.right, node.left
             start, top, steps = climbs[occ]  # only x reads it: extend in place
-            if top.bit_count() < alpha[x]:
+            if alpha[occ] < alpha[x]:
                 switch = climbs[emp][1]
                 steps.append((tuple(bits(top)), tuple(bits(switch))))
                 top = switch
@@ -162,8 +161,8 @@ def _su_sequence(t: Cotree, u: int, tables: _Tables) -> SuSequence:
                 climbs[x] = (start_v | start_w, top_v | top_w, steps_v)
                 continue
             tv, tw = tables[node.left].values, tables[node.right].values
-            base = tables[x].base
             q, r = start_v.bit_count(), start_w.bit_count()
+            base = q + r
             b = c = 0
             steps = []
             while q != tv[0] or r != tw[0]:
@@ -278,17 +277,18 @@ def build_witness(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> TarSe
     r = restrict(t, accessible_subgraph(t, vals_a))
     if (amask | bmask) & ~r.nodes[r.root].vmask:
         raise InternalError("an endpoint vertex was classified inaccessible")
+    alpha = subtree_alpha(r)[0][r.root]
+    if amask == bmask:
+        return TarSequence(vertex_set(amask), [], k, alpha)
     seq_a = sequence_to_max(r, amask, k, checked=True)
     top_a = _end_mask(amask, seq_a.steps)
-    if amask == bmask:
-        return TarSequence(vertex_set(amask), [], k, top_a.bit_count())
     seq_b = sequence_to_max(r, bmask, k, checked=True)
     top_b = _end_mask(bmask, seq_b.steps)
     bridge = bridge_max_sets(r, top_a, top_b, k)
     descent = [("add" if op == "remove" else "remove", v)
                for op, v in reversed(seq_b.steps)]
     result = TarSequence(vertex_set(amask), seq_a.steps + bridge.steps + descent,
-                         k, top_a.bit_count())
+                         k, alpha)
     if validate_tar_sequence(g, result) != bmask:
         raise InternalError("witness does not end at the target set")
     if result.length > 4 * g.n - amask.bit_count() - bmask.bit_count():

@@ -6,7 +6,7 @@ import random
 from typing import NamedTuple, Optional
 
 from isrecon import Graph, gen_cograph
-from isrecon.chordal import is_dominating, leaf_ris_table
+from isrecon.chordal import is_dominating, leaf_alpha, leaf_ris_table
 from isrecon.cotree import JOIN, LEAF, UNION, Cotree, CotreeNode
 from isrecon.engine import RisTable, ris_join
 from isrecon.graph import bits, mask_of
@@ -279,7 +279,8 @@ def full_ris_tables(t, imask: int) -> dict:
                 tables[u] = RisTable(base, [1] * (base + 1))
             else:
                 local = [x for x, v in enumerate(bits(node.vmask)) if imask >> v & 1]
-                tables[u] = RisTable(base, leaf_ris_table(node.leaf_graph, mask_of(local)))
+                leaf = node.leaf_graph
+                tables[u] = RisTable(base, leaf_ris_table(leaf, mask_of(local), leaf_alpha(leaf)))
     return tables
 
 

@@ -12,7 +12,7 @@ import time
 
 from isrecon import (Graph, build_witness, decide, gen_chordal, gen_cograph,
                      gen_composed, tj_decide, validate_tar_sequence)
-from isrecon.chordal import leaf_ris_table
+from isrecon.chordal import leaf_alpha, leaf_ris_table
 from isrecon.cotree import build_maximal_cotree
 from isrecon.engine import (LEAF_UNREACHABLE, RisTable, compute_freedom,
                             compute_ris_tables, ris_union, union_split)
@@ -107,7 +107,7 @@ def test_criterion_3_oracle_equivalence_chordal(capsys):
             cases += 1
             assert decide(g, a, b, k).reachable == oracle_reach(g, a, b, k)[0]
         for a, _, _ in sample_triples(g, 3, seed + 5000):
-            assert leaf_ris_table(g, mask_of(a)) == oracle_ris_all(g, a)
+            assert leaf_ris_table(g, mask_of(a), leaf_alpha(g)) == oracle_ris_all(g, a)
     for seed in range(100):
         parts, total = [], 0
         while total < 8:

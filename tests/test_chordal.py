@@ -2,7 +2,7 @@ import pytest
 
 from isrecon import (Graph, InputError, UnsupportedGraphClassError, chordal,
                      decide, gen_composed)
-from isrecon.chordal import (alpha_chordal, chordality, is_dominating,
+from isrecon.chordal import (alpha_chordal, chordality, is_dominating, leaf_alpha,
                              leaf_reachable, leaf_ris_table, pinned)
 from isrecon.cotree import build_maximal_cotree
 from isrecon.graph import mask_of
@@ -37,11 +37,16 @@ def test_chordality_order_is_a_permutation():
 
 def test_alpha_chordal_values():
     peo = chordality(p4())
-    alpha, wit = alpha_chordal(p4(), peo)
-    assert alpha == 2
-    assert len(wit) == 2
-    assert alpha_chordal(complete(6), chordality(complete(6)))[0] == 1
-    assert alpha_chordal(edgeless(5), chordality(edgeless(5)))[0] == 5
+    assert alpha_chordal(p4(), peo).bit_count() == 2
+    assert alpha_chordal(complete(6), chordality(complete(6))).bit_count() == 1
+    assert alpha_chordal(edgeless(5), chordality(edgeless(5))) == 0b11111
+
+
+def test_leaf_alpha_values():
+    assert leaf_alpha(p4()) == 2
+    assert leaf_alpha(complete(6)) == 1
+    assert leaf_alpha(edgeless(5)) == 5
+    assert leaf_alpha(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) == 3
 
 
 def test_alpha_chordal_requires_perfect_ordering():
@@ -88,14 +93,14 @@ def test_leaf_reachable_validates_inputs():
 
 def test_leaf_ris_table():
     g = p4()
-    assert leaf_ris_table(g, 0) == [2]
-    assert leaf_ris_table(g, mask_of([0])) == [2, 2]        # {0} does not dominate
-    assert leaf_ris_table(g, mask_of([1])) == [2, 2]        # {1} misses vertex 3
-    assert leaf_ris_table(g, mask_of([1, 3])) == [2, 2, 2]  # dominating but already max
-    assert leaf_ris_table(complete(3), mask_of([0])) == [1, 1]
+    assert leaf_ris_table(g, 0, 2) == [2]
+    assert leaf_ris_table(g, mask_of([0]), 2) == [2, 2]        # {0} does not dominate
+    assert leaf_ris_table(g, mask_of([1]), 2) == [2, 2]        # {1} misses vertex 3
+    assert leaf_ris_table(g, mask_of([1, 3]), 2) == [2, 2, 2]  # dominating but already max
+    assert leaf_ris_table(complete(3), mask_of([0]), 1) == [1, 1]
     # a dominating set strictly smaller than alpha pins its own entry
     star_plus = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert leaf_ris_table(star_plus, mask_of([0])) == [3, 1]
+    assert leaf_ris_table(star_plus, mask_of([0]), 3) == [3, 1]
 
 
 def test_pinned_reads_the_last_entry_at_the_base():
@@ -107,12 +112,12 @@ def test_pinned_reads_the_last_entry_at_the_base():
     assert not pinned([3, 3], 1)         # not dominating
     assert pinned([1, 1], 1)             # a trivial leaf's table
     assert not pinned([1], 0)
-    assert pinned(leaf_ris_table(complete(3), mask_of([0])), 1)
+    assert pinned(leaf_ris_table(complete(3), mask_of([0]), 1), 1)
 
 
 def test_leaf_ris_table_rejects_non_chordal():
     with pytest.raises(UnsupportedGraphClassError):
-        leaf_ris_table(c4(), mask_of([0]))
+        leaf_ris_table(c4(), mask_of([0]), leaf_alpha(c4()))
 
 
 def test_decide_analyses_each_prime_leaf_once(monkeypatch):
@@ -154,6 +159,6 @@ def test_leaf_analysis_failure_is_not_stored():
     g = c4()
     for _ in range(2):
         with pytest.raises(UnsupportedGraphClassError):
-            leaf_ris_table(g, mask_of([0]))
+            leaf_alpha(g)
         with pytest.raises(UnsupportedGraphClassError):
             leaf_reachable(g, mask_of([0, 2]), mask_of([1, 3]), 1)

@@ -361,6 +361,14 @@ def test_huge_edge_count_in_header_exits_2(tmp_path, capsys):
     assert "declares 100000000000000000000 edges but 0 lines follow" in err
 
 
+@pytest.mark.parametrize("header", ["-1 0", "2 -1"])
+def test_negative_count_in_header_exits_2(tmp_path, capsys, header):
+    f = tmp_path / "neg.g"
+    f.write_text(header + "\n")
+    assert main(["decide", str(f), "-", "-", "-k", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {f}:1: n and m must be nonnegative\n"
+
+
 def test_fuzz_bad_size_or_count_exits_2():
     for flag in ("--size", "--count"):
         proc = run_cli("fuzz", flag, "-1")

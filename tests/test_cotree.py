@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import isrecon.chordal
 import isrecon.cotree
-from isrecon import (Graph, InputError, UnsupportedGraphClassError, build_witness,
-                     decide, gen_cograph, gen_composed, is_cograph, tj_decide)
+from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
+                     build_witness, decide, gen_cograph, gen_composed, is_cograph,
+                     tj_decide)
 from isrecon.cli import main
 from isrecon.cotree import (Cotree, JOIN, UNION, build_maximal_cotree, cotree_of, realize,
                             restrict)
@@ -431,3 +432,15 @@ def test_threads_hopping_between_graphs_never_get_another_graphs_tree():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
+
+
+def test_the_empty_graph_is_a_cograph():
+    assert is_cograph(Graph(0, []))
+
+
+def test_restrict_rejects_a_split_leaf_and_an_empty_mask():
+    t = build_maximal_cotree(p4())  # one prime leaf
+    with pytest.raises(InternalError, match="restriction splits leaf"):
+        restrict(t, 0b0011)
+    with pytest.raises(InputError, match="cannot restrict a cotree to no vertices"):
+        restrict(t, 0)

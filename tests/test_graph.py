@@ -65,3 +65,20 @@ def test_graph_equality_and_hash():
     assert c4() == c4()
     assert hash(c4()) == hash(c4())
     assert c4() != edgeless(4)
+    assert (Graph(1, [0]) == 1) is False
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (-1, [], "vertex count must be nonnegative"),
+    (2, [0], "adjacency length does not match vertex count"),
+    (2, [0b01, 0b00], "self-loop at vertex 0"),
+    (2, [0b100, 0b00], "adjacency row of vertex 0 out of range"),
+], ids=["negative-n", "row-count", "self-loop", "bit-n"])
+def test_constructor_rejects_malformed_rows(n, adj, message):
+    with pytest.raises(InputError, match=message):
+        Graph(n, adj)
+
+
+def test_a_graph_stores_no_analysis():
+    # what is computed from a graph (each prime leaf's alpha) lives on its cotree
+    assert Graph.__slots__ == ("n", "adj", "origin", "full_mask")

@@ -116,9 +116,9 @@ def test_perfect_ordering_meets_the_definition(g):
        st.integers(min_value=0, max_value=10 ** 6))
 def test_alpha_chordal_matches_the_oracle(n, density, seed):
     g = gen_chordal(n, density, seed)
-    alpha, witness = alpha_chordal(g, chordality(g))
-    assert alpha == max(s.bit_count() for s in get_oracle(g).sets)
-    assert len(witness) == alpha and is_independent(g, mask_of(witness))
+    witness = alpha_chordal(g, chordality(g))
+    assert witness.bit_count() == max(s.bit_count() for s in get_oracle(g).sets)
+    assert is_independent(g, witness)
 
 
 @SETTINGS

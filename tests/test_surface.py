@@ -16,8 +16,8 @@ import pytest
 import isrecon
 from isrecon import (Graph, InputError, build_witness, decide, gen_composed,
                      tj_decide)
-from isrecon.chordal import (EliminationOrdering, is_dominating, leaf_reachable,
-                             leaf_ris_table)
+from isrecon.chordal import (EliminationOrdering, is_dominating, leaf_alpha,
+                             leaf_reachable, leaf_ris_table)
 from isrecon.cotree import LEAF, Cotree, CotreeNode, build_maximal_cotree
 from isrecon.engine import Decision, NodeValues, RisTable, compute_ris_tables
 from isrecon.graph import is_independent
@@ -171,7 +171,7 @@ MASK_CALLS = [
     ("Graph.induced", lambda g, t, m: g.induced(m)),
     ("is_independent", lambda g, t, m: is_independent(g, m)),
     ("is_dominating", lambda g, t, m: is_dominating(g, m)),
-    ("leaf_ris_table", lambda g, t, m: leaf_ris_table(g, m)),
+    ("leaf_ris_table", lambda g, t, m: leaf_ris_table(g, m, leaf_alpha(g))),
     ("leaf_reachable", lambda g, t, m: leaf_reachable(g, m, 0, 0)),
     ("compute_ris_tables", lambda g, t, m: compute_ris_tables(t, m)),
     ("build_su_sequence", lambda g, t, m: build_su_sequence(t, t.root, m)),

@@ -6,13 +6,14 @@ import pytest
 
 import isrecon.cotree
 import isrecon.engine
+import isrecon.witness
 from isrecon import (Graph, InputError, InternalError, UnsupportedGraphClassError,
                      build_witness, decide, gen_cograph, validate_tar_sequence)
 from isrecon.cotree import build_maximal_cotree, realize, restrict
 from isrecon.engine import compute_freedom, compute_ris_tables
 from isrecon.graph import mask_of, vertex_set
-from isrecon.witness import (TarSequence, accessible_subgraph, bridge_max_sets,
-                             build_su_sequence, sequence_to_max)
+from isrecon.witness import (TarSequence, _su_sequence, accessible_subgraph,
+                             bridge_max_sets, build_su_sequence, sequence_to_max)
 
 from helpers import (alternating_threshold, c4, cotree_depth, edgeless,
                      greedy_independent_set, p3, p4, sample_triples, two_k2)
@@ -300,3 +301,51 @@ def test_build_witness_checks_each_set_for_independence_once(monkeypatch):
     assert calls == [a, b]
     with pytest.raises(InputError, match="compute_ris_tables"):
         sequence_to_max(build_maximal_cotree(g), mask_of([2, 3]), 1)
+
+
+def p3_p3_k1():
+    """Two P3s (centres 2 and 5) and an isolated vertex 6: alpha 5."""
+    return Graph.from_edges(7, [(0, 2), (1, 2), (3, 5), (4, 5)])
+
+
+def test_a_climb_builds_each_unstored_table_at_most_once(monkeypatch):
+    # A = {6} misses the union of the two P3s, which is not flat, so its
+    # table is not stored; the climb reads only its children's tables and
+    # takes its base from the sizes of the two starts.
+    g = p3_p3_k1()
+    t = build_maximal_cotree(g)
+    tables = compute_ris_tables(t, mask_of([6]))
+    reads = []
+    real = isrecon.engine._Tables.__missing__
+
+    def counting(self, u):
+        reads.append(u)
+        return real(self, u)
+
+    monkeypatch.setattr(isrecon.engine._Tables, "__missing__", counting)
+    climb = _su_sequence(t, t.root, tables)
+    assert reads and len(reads) == len(set(reads))
+    assert len(climb.sets[-1]) == 5
+
+
+def test_build_witness_with_equal_endpoints_runs_no_climb(monkeypatch):
+    passes = []
+    real = compute_ris_tables
+
+    def counting(t, imask, **kwargs):
+        passes.append(imask)
+        return real(t, imask, **kwargs)
+
+    monkeypatch.setattr(isrecon.engine, "compute_ris_tables", counting)
+    monkeypatch.setattr(isrecon.witness, "compute_ris_tables", counting)
+    seq = build_witness(p3_p3_k1(), [0, 3], [0, 3], 1)
+    assert passes == [mask_of([0, 3])] * 2      # the verdict's two passes only
+    assert seq.length == 0 and seq.alpha_accessible == 5
+
+
+def test_sequence_to_max_refuses_an_unreachable_maximum():
+    # at k = 1 the centre of K1,3 is stuck: no maximum set is reachable
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(InternalError,
+                       match="restrict to the accessible subgraph first"):
+        sequence_to_max(build_maximal_cotree(star), mask_of([0]), 1)
